@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/relational"
 )
@@ -33,33 +34,40 @@ type BatchPredictor interface {
 }
 
 // Accuracy returns the fraction of examples in ds classified correctly by c.
-// Classifiers implementing BatchPredictor are scored in one batched pass;
-// for the rest, rows are copied into a local buffer before prediction so
-// that classifiers which internally iterate the same dataset (1-NN evaluated
-// on its own training set) never see their argument clobbered by scratch
-// reuse. The two paths count identical classes, so the choice never changes
-// an accuracy.
 func Accuracy(c Classifier, ds *Dataset) float64 {
 	n := ds.NumExamples()
 	if n == 0 {
 		return 0
 	}
 	correct := 0
-	if bp, ok := c.(BatchPredictor); ok {
-		for i, cls := range bp.PredictBatch(ds) {
-			if cls == ds.Label(i) {
-				correct++
-			}
-		}
-		return float64(correct) / float64(n)
-	}
-	buf := make([]relational.Value, ds.NumFeatures())
-	for i := 0; i < n; i++ {
-		if c.Predict(ds.RowInto(buf, i)) == ds.Label(i) {
+	for i, cls := range predictAll(c, ds) {
+		if cls == ds.Label(i) {
 			correct++
 		}
 	}
 	return float64(correct) / float64(n)
+}
+
+// predictAll classifies every example of ds — the one scoring path behind
+// Accuracy, Confuse and CompareClassifiers. Classifiers implementing
+// BatchPredictor are scored in one batched pass; for the rest, rows are
+// copied into a local buffer before prediction so that classifiers which
+// internally iterate the same dataset (1-NN evaluated on its own training
+// set) never see their argument clobbered by scratch reuse. The two paths
+// yield identical classes, so the choice never changes a result. One
+// ScoreSpan observation covers the whole call.
+func predictAll(c Classifier, ds *Dataset) []int8 {
+	t0 := time.Now()
+	defer ScoreSpan.ObserveSince(t0)
+	if bp, ok := c.(BatchPredictor); ok {
+		return bp.PredictBatch(ds)
+	}
+	out := make([]int8, ds.NumExamples())
+	buf := make([]relational.Value, ds.NumFeatures())
+	for i := range out {
+		out[i] = c.Predict(ds.RowInto(buf, i))
+	}
+	return out
 }
 
 // Error returns the 0-1 loss of c on ds (1 − Accuracy).
@@ -75,10 +83,8 @@ type Confusion struct {
 // Confuse evaluates c on ds and tallies the confusion matrix.
 func Confuse(c Classifier, ds *Dataset) Confusion {
 	var m Confusion
-	buf := make([]relational.Value, ds.NumFeatures())
-	for i := 0; i < ds.NumExamples(); i++ {
-		pred, truth := c.Predict(ds.RowInto(buf, i)), ds.Label(i)
-		switch {
+	for i, pred := range predictAll(c, ds) {
+		switch truth := ds.Label(i); {
 		case pred == 1 && truth == 1:
 			m.TP++
 		case pred == 1 && truth == 0:

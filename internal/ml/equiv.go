@@ -84,23 +84,6 @@ func (t Tolerance) Check(d EquivDelta) error {
 	return nil
 }
 
-// predictions scores every example once, through the batched path when the
-// classifier offers one (the scratch-row copy mirrors Accuracy's: Predict
-// implementations may retain nothing, but Row's shared scratch cannot be
-// handed to them while labels are read interleaved).
-func predictions(c Classifier, ds *Dataset) []int8 {
-	if bp, ok := c.(BatchPredictor); ok {
-		return bp.PredictBatch(ds)
-	}
-	n := ds.NumExamples()
-	out := make([]int8, n)
-	buf := make([]relational.Value, ds.NumFeatures())
-	for i := 0; i < n; i++ {
-		out[i] = c.Predict(ds.RowInto(buf, i))
-	}
-	return out
-}
-
 // logLoss is the mean cross-entropy of p's probabilities against the
 // labels, with the probabilities clamped away from {0, 1} so one saturated
 // wrong answer cannot dominate the mean.
@@ -134,8 +117,8 @@ func logLoss(p Prober, ds *Dataset) float64 {
 // Both classifiers must already be fitted.
 func CompareClassifiers(ref, approx Classifier, holdout *Dataset) EquivDelta {
 	n := holdout.NumExamples()
-	pr := predictions(ref, holdout)
-	pa := predictions(approx, holdout)
+	pr := predictAll(ref, holdout)
+	pa := predictAll(approx, holdout)
 	var refHit, approxHit, differ int
 	for i := 0; i < n; i++ {
 		truth := holdout.Label(i)

@@ -7,3 +7,9 @@ import "repro/internal/obs"
 // ScanActiveIndices call, so the cost is two clock reads per Fit, not per row.
 var scanSpan = obs.TrainSpan("scan",
 	"column-at-a-time feature scans materializing training blocks")
+
+// ScoreSpan times evaluation scoring: one observation per predictAll call
+// (Accuracy, Confuse, CompareClassifiers) and per feature-selection round of
+// the Naive Bayes wrappers, never per row.
+var ScoreSpan = obs.TrainSpan("score",
+	"evaluation scoring: batched or per-row prediction passes and selection rounds")

@@ -137,6 +137,30 @@ func TestAccuracyAndConfusion(t *testing.T) {
 	}
 }
 
+// batchOnly classifies through PredictBatch alone; its Predict panics, so
+// any evaluation path that falls back to per-row scoring fails the test.
+type batchOnly struct{ classes []int8 }
+
+func (b batchOnly) Fit(*Dataset) error              { return nil }
+func (b batchOnly) Predict([]relational.Value) int8 { panic("per-row Predict on a batch predictor") }
+func (b batchOnly) PredictBatch(ds *Dataset) []int8 { return b.classes[:ds.NumExamples()] }
+
+// TestEvaluationTakesBatchPath checks that Accuracy, Confuse and
+// CompareClassifiers all score a BatchPredictor through PredictBatch.
+func TestEvaluationTakesBatchPath(t *testing.T) {
+	d := tinyDataset() // labels 0, 0, 1, 1
+	c := batchOnly{classes: []int8{0, 1, 1, 0}}
+	if got := Accuracy(c, d); got != 0.5 {
+		t.Fatalf("Accuracy = %v", got)
+	}
+	if m := Confuse(c, d); m != (Confusion{TP: 1, FP: 1, TN: 1, FN: 1}) {
+		t.Fatalf("confusion = %+v", m)
+	}
+	if delta := CompareClassifiers(c, &ConstantClassifier{Class: 1}, d); delta.RefAcc != 0.5 || delta.Disagreement != 0.5 {
+		t.Fatalf("compare = %+v", delta)
+	}
+}
+
 func TestConstantClassifierFit(t *testing.T) {
 	d := tinyDataset()
 	d.Y = []int8{0, 0, 0, 1}

@@ -20,10 +20,14 @@ func requireValidCuts(t *testing.T, cuts []int, n int) {
 	}
 }
 
-// TestScanSpansSegmentAligned checks that over an unremapped segmented
-// relation every span stays within one segment (the segment-per-task
-// property), across table sizes above and below the worker pool's appetite.
+// TestScanSpansSegmentAligned checks ScanSpans' documented contract over an
+// unremapped segmented relation, across table sizes above and below the
+// worker pool's appetite and at every worker count up to four. When segments
+// outnumber the wanted spans they are grouped, so every interior cut falls on
+// a segment boundary; otherwise segments are subdivided, so every span lies
+// inside one segment.
 func TestScanSpansSegmentAligned(t *testing.T) {
+	defer func(p int) { MaxParallelism = p }(MaxParallelism)
 	_, jv := viewStar(t, 600, 12, 9)
 	cols := ViewColumns(jv, JoinAll, nil)
 	for _, segSize := range []int{32, 100, 1 << 20} {
@@ -36,14 +40,24 @@ func TestScanSpansSegmentAligned(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := ds.NumExamples()
-		cuts := ScanSpans(ds)
-		requireValidCuts(t, cuts, n)
-		for s := 1; s < len(cuts)-1; s++ {
-			// Interior cuts must not make any span straddle a segment
-			// boundary: a span's first and last row share a segment.
-			lo, hi := cuts[s-1], cuts[s]-1
-			if hi >= lo && lo/segSize != hi/segSize {
-				t.Fatalf("segSize %d: span [%d,%d] straddles a segment boundary (cuts %v)", segSize, lo, hi, cuts)
+		numSegs := (n + segSize - 1) / segSize
+		for _, p := range []int{1, 2, 3, 4} {
+			MaxParallelism = p
+			cuts := ScanSpans(ds)
+			requireValidCuts(t, cuts, n)
+			if numSegs >= columnSpans(n, ds.NumFeatures()) {
+				for _, c := range cuts[1 : len(cuts)-1] {
+					if c%segSize != 0 {
+						t.Fatalf("segSize %d, p %d: grouping cut %d is not on a segment boundary (cuts %v)", segSize, p, c, cuts)
+					}
+				}
+				continue
+			}
+			for s := 1; s < len(cuts); s++ {
+				lo, hi := cuts[s-1], cuts[s]-1
+				if hi >= lo && lo/segSize != hi/segSize {
+					t.Fatalf("segSize %d, p %d: span [%d,%d] straddles a segment boundary (cuts %v)", segSize, p, lo, hi, cuts)
+				}
 			}
 		}
 	}

@@ -364,3 +364,111 @@ func TestBatchFitMatchesRowAtATime(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictBatchMatchesPredict pins the batched scorer to Predict, example
+// by example, on dense, subset-view and feature-remap datasets, with the
+// full feature set and with features deactivated.
+func TestPredictBatchMatchesPredict(t *testing.T) {
+	r := rng.New(23)
+	ds := &ml.Dataset{Features: feats(3, 9, 2, 40)}
+	for i := 0; i < 1500; i++ {
+		x := []relational.Value{
+			relational.Value(r.Intn(3)), relational.Value(r.Intn(9)),
+			relational.Value(r.Intn(2)), relational.Value(r.Intn(40)),
+		}
+		ds.X = append(ds.X, x...)
+		y := int8(0)
+		if int(x[1])+int(x[3])%5 > 6 || r.Bernoulli(0.2) {
+			y = 1
+		}
+		ds.Y = append(ds.Y, y)
+	}
+	sub := make([]int, 0, 700)
+	for i := 0; i < 700; i++ {
+		sub = append(sub, r.Intn(1500))
+	}
+	for name, eval := range map[string]*ml.Dataset{
+		"dense":       ds,
+		"subset-view": ds.Subset(sub),
+	} {
+		m := New(Config{})
+		if err := m.Fit(ds); err != nil {
+			t.Fatal(err)
+		}
+		for _, off := range [][]int{nil, {1}, {0, 3}} {
+			for _, j := range off {
+				m.SetActive(j, false)
+			}
+			got := m.PredictBatch(eval)
+			buf := make([]relational.Value, eval.NumFeatures())
+			for i := 0; i < eval.NumExamples(); i++ {
+				if want := m.Predict(eval.RowInto(buf, i)); got[i] != want {
+					t.Fatalf("%s off=%v: example %d batch %d, Predict %d", name, off, i, got[i], want)
+				}
+			}
+			for _, j := range off {
+				m.SetActive(j, true)
+			}
+		}
+	}
+	remap := ds.SelectFeatures([]int{3, 0})
+	m := New(Config{})
+	if err := m.Fit(remap); err != nil {
+		t.Fatal(err)
+	}
+	got := m.PredictBatch(remap)
+	for i := 0; i < remap.NumExamples(); i++ {
+		if want := m.Predict(remap.Row(i)); got[i] != want {
+			t.Fatalf("feature-remap: example %d batch %d, Predict %d", i, got[i], want)
+		}
+	}
+}
+
+// TestCandidateScoresFoldInFeatureOrder pins the selection scorer's exact
+// fold order. The tables mix tiny and huge terms, so absorption makes the
+// scores depend on the order of the additions: any other evaluation order —
+// subtracting the dropped feature's column from a full-set sum, or adding a
+// new feature's column last — flips predictions here. Every candidate's
+// accuracy must equal the SetActive + Predict oracle.
+func TestCandidateScoresFoldInFeatureOrder(t *testing.T) {
+	r := rng.New(59)
+	fs := feats(3, 3, 3, 3, 3, 3)
+	terms := []float64{0, -0.1, -0.2, -0.5, -0.3, -1e17, -3e16}
+	p := Params{Alpha: 1, LogPrior: [2]float64{-0.2, -0.1}, Active: make([]bool, len(fs))}
+	for range 2 * 3 * len(fs) {
+		p.LogLik = append(p.LogLik, terms[r.Intn(len(terms))])
+	}
+	ds := &ml.Dataset{Features: fs}
+	for i := 0; i < 400; i++ {
+		for range fs {
+			ds.X = append(ds.X, relational.Value(r.Intn(3)))
+		}
+		ds.Y = append(ds.Y, int8(r.Intn(2)))
+	}
+	for trial := 0; trial < 40; trial++ {
+		for j := range p.Active {
+			p.Active[j] = r.Bernoulli(0.5)
+		}
+		m, err := FromParams(fs, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := m.scoreColumns(ds)
+		cands := []int{0, 1, 2, 3, 4, 5}
+		got := cols.toggled(m.active, cands)
+		for c, j := range cands {
+			m.SetActive(j, !m.active[j])
+			want := 0.0
+			for i := 0; i < ds.NumExamples(); i++ {
+				if m.Predict(ds.Row(i)) == ds.Label(i) {
+					want++
+				}
+			}
+			want /= float64(ds.NumExamples())
+			m.SetActive(j, !m.active[j])
+			if got[c] != want {
+				t.Fatalf("trial %d, active %v, toggle %d: scorer %v, Predict %v", trial, m.active, j, got[c], want)
+			}
+		}
+	}
+}

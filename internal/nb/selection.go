@@ -1,9 +1,9 @@
 package nb
 
 import (
-	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"repro/internal/ml"
 )
@@ -16,58 +16,36 @@ import (
 // contrast with backward selection: forward selection touches fewer features
 // per round when few features matter).
 func ForwardSelect(cfg Config, train, validation *ml.Dataset) (*NaiveBayes, float64, error) {
-	if validation.NumExamples() == 0 {
-		return nil, 0, fmt.Errorf("nb: empty validation set")
-	}
-	model := New(cfg)
-	if err := model.Fit(train); err != nil {
+	model, err := fitForSelection(cfg, train, validation)
+	if err != nil {
 		return nil, 0, err
 	}
-	d := train.NumFeatures()
-	for j := 0; j < d; j++ {
+	for j := range model.active {
 		model.SetActive(j, false)
 	}
-	// With no active features the model is the prior; score it.
-	best := ml.Accuracy(model, validation)
-	active := 0
-	for active < d {
-		bestAdd := -1
-		bestAcc := best
-		for j := 0; j < d; j++ {
-			if model.active[j] {
-				continue
-			}
-			model.SetActive(j, true)
-			acc := ml.Accuracy(model, validation)
-			model.SetActive(j, false)
-			if acc > bestAcc+1e-12 {
-				bestAcc = acc
-				bestAdd = j
-			}
-		}
-		if bestAdd < 0 {
-			break
-		}
-		model.SetActive(bestAdd, true)
-		best = bestAcc
-		active++
+	// With no active features the model is the prior; the first round
+	// scores each feature against it.
+	cols := model.scoreColumns(validation)
+	best := greedySelect(model, cols, false)
+	if len(model.ActiveFeatures()) > 0 {
+		return model, best, nil
 	}
 	// Never return a feature-less model: fall back to the single best
-	// feature if nothing improved on the prior.
-	if active == 0 {
-		bestJ, bestAcc := 0, -1.0
-		for j := 0; j < d; j++ {
-			model.SetActive(j, true)
-			if acc := ml.Accuracy(model, validation); acc > bestAcc {
-				bestAcc = acc
-				bestJ = j
-			}
-			model.SetActive(j, false)
-		}
-		model.SetActive(bestJ, true)
-		best = bestAcc
+	// feature (the first, on ties) if nothing improved on the prior.
+	t0 := time.Now()
+	all := make([]int, len(model.active))
+	for j := range all {
+		all[j] = j
 	}
-	return model, best, nil
+	bestJ, bestAcc := 0, -1.0
+	for j, acc := range cols.toggled(model.active, all) {
+		if acc > bestAcc {
+			bestJ, bestAcc = j, acc
+		}
+	}
+	ml.ScoreSpan.ObserveSince(t0)
+	model.SetActive(bestJ, true)
+	return model, bestAcc, nil
 }
 
 // MutualInformation estimates I(X_j; Y) in bits from a dataset — the filter
@@ -112,8 +90,9 @@ func MutualInformation(ds *ml.Dataset, j int) float64 {
 // Bayes on them — the filter-method variant the paper also ran. k is
 // clamped to [1, d].
 func FilterSelect(cfg Config, train, validation *ml.Dataset, k int) (*NaiveBayes, float64, error) {
-	if validation.NumExamples() == 0 {
-		return nil, 0, fmt.Errorf("nb: empty validation set")
+	model, err := fitForSelection(cfg, train, validation)
+	if err != nil {
+		return nil, 0, err
 	}
 	d := train.NumFeatures()
 	if k < 1 {
@@ -136,10 +115,6 @@ func FilterSelect(cfg Config, train, validation *ml.Dataset, k int) (*NaiveBayes
 		}
 		return ss[a].j < ss[b].j
 	})
-	model := New(cfg)
-	if err := model.Fit(train); err != nil {
-		return nil, 0, err
-	}
 	for j := 0; j < d; j++ {
 		model.SetActive(j, false)
 	}

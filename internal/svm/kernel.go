@@ -104,6 +104,53 @@ func (k *Kernel) GramRows(dst []float32, rows [][]relational.Value) {
 	}
 }
 
+// matchLUT returns the kernel value of every match count m ∈ [0, d]: every
+// kernel of this study is a function of m alone, so blocked builds read
+// kernel values from this (d+1)-entry table instead of evaluating Eval per
+// pair. Entry m is OfMatch(float64(m)) — the value Eval computes for a pair
+// matching on m features.
+func (k *Kernel) matchLUT() []float64 {
+	lut := make([]float64, k.dims+1)
+	for m := range lut {
+		lut[m] = k.OfMatch(float64(m))
+	}
+	return lut
+}
+
+// matchBlock is a row-major block of n categorical rows of d features
+// prepared for blocked match counting: packed to 16-bit SWAR lanes when
+// every code fits (they do whenever the feature domains do — dictionary
+// codes are dense), so the kernel compares four features per uint64 with
+// half the memory traffic; otherwise the int32 rows as they are. Counts are
+// exact integers either way.
+type matchBlock struct {
+	rows   []relational.Value
+	packed []uint64 // nil when some code exceeds 16 bits
+	d      int
+}
+
+func newMatchBlock(rows []relational.Value, n, d int) matchBlock {
+	packed := make([]uint64, n*mat.PackedWords(d))
+	if !mat.PackU16Rows(packed, rows, n, d) {
+		packed = nil
+	}
+	return matchBlock{rows: rows, packed: packed, d: d}
+}
+
+// matchCounts fills dst[(i-a0)*ldd + (j-b0)] with the number of features
+// where row i of a equals row j of b, for i ∈ [a0, a1) and j ∈ [b0, b1):
+// mat.MatchCountsU16 when both blocks are packed, the int32 mat.MatchCounts
+// otherwise.
+func matchCounts(dst []int32, ldd int, a matchBlock, a0, a1 int, b matchBlock, b0, b1 int) {
+	d := a.d
+	if a.packed != nil && b.packed != nil {
+		w := mat.PackedWords(d)
+		mat.MatchCountsU16(dst, ldd, a.packed[a0*w:a1*w], b.packed[b0*w:b1*w], a1-a0, b1-b0, d)
+		return
+	}
+	mat.MatchCounts(dst, ldd, a.rows[a0*d:a1*d], d, b.rows[b0*d:b1*d], d, a1-a0, b1-b0, d)
+}
+
 // gramBlockRows is the i-extent of one GramBlocked task: one task's match
 // counts (gramBlockRows × n int32) stay a few hundred KiB even at the 4096
 // cache cap, and a full cache build yields enough tasks to saturate the pool.
@@ -112,30 +159,22 @@ const gramBlockRows = 32
 // GramBlocked fills the n×n Gram matrix from a dense row-major block of n
 // categorical rows (block[i*d:(i+1)*d] is row i, d = the kernel's feature
 // count): the match counts of an i-block against columns [i0, n) come from
-// one blocked mat.MatchCounts call — the X·Xᵀ product of the one-hot
-// encodings, never expanded — and kernel values are a (d+1)-entry lookup
-// table indexed by count, since every kernel is a function of the match
-// count alone. i-blocks fan out across ml.ParallelFor writing disjoint row
-// ranges of the strict upper triangle (deterministic regardless of
-// scheduling), and the lower triangle is mirrored afterwards.
+// one blocked match-count call — the X·Xᵀ product of the one-hot
+// encodings, never expanded — and kernel values come from matchLUT, since
+// every kernel is a function of the match count alone. i-blocks fan out
+// across ml.ParallelFor writing disjoint row ranges of the strict upper
+// triangle (deterministic regardless of scheduling), and the lower triangle
+// is mirrored afterwards.
 //
 // Each entry is float32(k.OfMatch(m)) for the same integer m the per-pair
 // build computes, so the cache is bit-identical to GramRows on the same rows.
 func (k *Kernel) GramBlocked(dst []float32, block []relational.Value, n int) {
-	d := k.dims
-	lut := make([]float32, d+1)
-	for m := 0; m <= d; m++ {
-		lut[m] = float32(k.OfMatch(float64(m)))
+	lut := make([]float32, k.dims+1)
+	for m, v := range k.matchLUT() {
+		lut[m] = float32(v)
 	}
 	self := float32(k.Self())
-
-	// Pack rows to 16-bit lanes when the codes fit (they do whenever the
-	// feature domains do — dictionary codes are dense): the SWAR kernel
-	// compares four features per uint64 with half the memory traffic, and
-	// counts are exact integers either way.
-	words := mat.PackedWords(d)
-	packed := make([]uint64, n*words)
-	usePacked := mat.PackU16Rows(packed, block, n, d)
+	rows := newMatchBlock(block, n, k.dims)
 
 	blocks := (n + gramBlockRows - 1) / gramBlockRows
 	ml.ParallelFor(blocks, func(bi int) {
@@ -145,11 +184,7 @@ func (k *Kernel) GramBlocked(dst []float32, block []relational.Value, n int) {
 		// triangle of the block's rows plus a small discarded wedge.
 		w := n - i0
 		cnt := make([]int32, (i1-i0)*w)
-		if usePacked {
-			mat.MatchCountsU16(cnt, w, packed[i0*words:i1*words], packed[i0*words:n*words], i1-i0, w, d)
-		} else {
-			mat.MatchCounts(cnt, w, block[i0*d:i1*d], d, block[i0*d:n*d], d, i1-i0, w, d)
-		}
+		matchCounts(cnt, w, rows, i0, i1, rows, i0, n)
 		for i := i0; i < i1; i++ {
 			row := dst[i*n : (i+1)*n]
 			crow := cnt[(i-i0)*w : (i-i0+1)*w]

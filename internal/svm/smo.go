@@ -359,5 +359,57 @@ func (s *SVM) Predict(row []relational.Value) int8 {
 	return 0
 }
 
+// predictBlockRows is the row extent of one PredictBatch task: its match
+// counts against a support set at the 400-row default cap fit in 64 KiB.
+const predictBlockRows = 64
+
+// PredictBatch implements ml.BatchPredictor: the dataset is scanned once
+// into a row-major block (ml.ScanRowMajor), row blocks fan out across
+// ml.ParallelFor, and each block's match counts against the whole support
+// set come from one blocked match-count call. Each decision folds b first,
+// then αᵢyᵢ·k for the support vectors in retention order with k read from
+// matchLUT — Decision's exact fold over the same kernel values, so every
+// class equals Predict's bit for bit.
+func (s *SVM) PredictBatch(ds *ml.Dataset) []int8 {
+	n := ds.NumExamples()
+	out := make([]int8, n)
+	nsv := len(s.svRows)
+	if s.kernel == nil || nsv == 0 {
+		// Degenerate single-class fit: the decision is the constant b.
+		if s.b >= 0 {
+			for i := range out {
+				out[i] = 1
+			}
+		}
+		return out
+	}
+	d := s.kernel.dims
+	block, _ := ml.ScanRowMajor(ds)
+	svBlock := make([]relational.Value, 0, nsv*d)
+	for _, sv := range s.svRows {
+		svBlock = append(svBlock, sv...)
+	}
+	sv := newMatchBlock(svBlock, nsv, d)
+	rows := newMatchBlock(block, n, d)
+	lut := s.kernel.matchLUT()
+	blocks := (n + predictBlockRows - 1) / predictBlockRows
+	ml.ParallelFor(blocks, func(bi int) {
+		i0 := bi * predictBlockRows
+		i1 := min(i0+predictBlockRows, n)
+		cnt := make([]int32, (i1-i0)*nsv)
+		matchCounts(cnt, nsv, rows, i0, i1, sv, 0, nsv)
+		for i := i0; i < i1; i++ {
+			sum := s.b
+			for j, m := range cnt[(i-i0)*nsv : (i-i0+1)*nsv] {
+				sum += s.svAlphaY[j] * lut[m]
+			}
+			if sum >= 0 {
+				out[i] = 1
+			}
+		}
+	})
+	return out
+}
+
 // NumSupportVectors returns the size of the retained support set.
 func (s *SVM) NumSupportVectors() int { return len(s.svRows) }

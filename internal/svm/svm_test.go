@@ -351,3 +351,122 @@ func TestGramBlockedMatchesGramRows(t *testing.T) {
 		}
 	}
 }
+
+// requireBatchMatchesPredict checks PredictBatch against Predict example by
+// example.
+func requireBatchMatchesPredict(t *testing.T, name string, s *SVM, ds *ml.Dataset) {
+	t.Helper()
+	got := s.PredictBatch(ds)
+	if len(got) != ds.NumExamples() {
+		t.Fatalf("%s: %d batch classes for %d examples", name, len(got), ds.NumExamples())
+	}
+	buf := make([]relational.Value, ds.NumFeatures())
+	for i := range got {
+		if want := s.Predict(ds.RowInto(buf, i)); got[i] != want {
+			t.Fatalf("%s: example %d batch %d, Predict %d", name, i, got[i], want)
+		}
+	}
+}
+
+// TestPredictBatchMatchesPredict pins the blocked batch scorer to the
+// per-row Decision sign for every kernel, on the packed (16-bit codes) and
+// the int32 match-count paths, and for the degenerate single-class fit.
+func TestPredictBatchMatchesPredict(t *testing.T) {
+	r := rng.New(41)
+	for _, wide := range []bool{false, true} {
+		base := &ml.Dataset{Features: feats(3, 5, 2, 4, 70000)}
+		for i := 0; i < 400; i++ {
+			a, b, c, e := r.Intn(3), r.Intn(5), r.Intn(2), r.Intn(4)
+			f := r.Intn(4)
+			if wide {
+				f = 65530 + r.Intn(10) // beyond 16 bits: int32 counts
+			}
+			base.X = append(base.X, relational.Value(a), relational.Value(b), relational.Value(c), relational.Value(e), relational.Value(f))
+			y := int8((a + b + e) % 2)
+			if r.Bernoulli(0.1) {
+				y = 1 - y
+			}
+			base.Y = append(base.Y, y)
+		}
+		eval := base.Subset(r.Perm(400)[:150])
+		for _, kind := range []KernelKind{Linear, Quadratic, RBF} {
+			s, err := New(Config{Kernel: kind, C: 1, Gamma: 0.2, SubsampleCap: 250, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Fit(base); err != nil {
+				t.Fatal(err)
+			}
+			if s.NumSupportVectors() == 0 {
+				t.Fatalf("%v: no support vectors", kind)
+			}
+			name := kind.String()
+			if wide {
+				name += "/int32"
+			}
+			requireBatchMatchesPredict(t, name+"/dense", s, base)
+			requireBatchMatchesPredict(t, name+"/view", s, eval)
+		}
+	}
+	for _, class := range []int8{0, 1} {
+		ds := &ml.Dataset{Features: feats(2), X: []relational.Value{0, 1, 0}, Y: []int8{class, class, class}}
+		s, err := New(Config{Kernel: RBF, C: 1, Gamma: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Fit(ds); err != nil {
+			t.Fatal(err)
+		}
+		requireBatchMatchesPredict(t, "single-class", s, ds)
+		p, err := s.ExportParams()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := FromParams(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBatchMatchesPredict(t, "single-class/loaded", loaded, ds)
+		kernelless, err := FromParams(Params{B: float64(2*class - 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBatchMatchesPredict(t, "single-class/kernelless", kernelless, ds)
+		if got := s.PredictBatch(ds); got[0] != class {
+			t.Fatalf("single-class fit on class %d predicted %d", class, got[0])
+		}
+	}
+}
+
+// TestPredictBatchFoldOrder pins PredictBatch's fold order to Decision's: b
+// first, then the support vectors in retention order. The multipliers mix
+// tiny and huge magnitudes, so absorption makes the decision sign depend on
+// the order of the additions and any other order flips classes here.
+func TestPredictBatchFoldOrder(t *testing.T) {
+	r := rng.New(67)
+	const d, nsv = 4, 6
+	ays := []float64{1e17, -1e17, 0.5, -0.5, 0.25, -3e16}
+	ds := &ml.Dataset{Features: feats(2, 2, 2, 2)}
+	for i := 0; i < 300; i++ {
+		for j := 0; j < d; j++ {
+			ds.X = append(ds.X, relational.Value(r.Intn(2)))
+		}
+		ds.Y = append(ds.Y, 0)
+	}
+	for _, kind := range []KernelKind{Linear, Quadratic, RBF} {
+		for trial := 0; trial < 20; trial++ {
+			p := Params{Kernel: kind, Gamma: 0.5, Dims: d, HasKernel: true, B: ays[r.Intn(len(ays))]}
+			for i := 0; i < nsv; i++ {
+				p.SVAlphaY = append(p.SVAlphaY, ays[r.Intn(len(ays))])
+				for j := 0; j < d; j++ {
+					p.SVRows = append(p.SVRows, relational.Value(r.Intn(2)))
+				}
+			}
+			s, err := FromParams(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBatchMatchesPredict(t, kind.String(), s, ds)
+		}
+	}
+}
