@@ -367,7 +367,7 @@ func BenchmarkJoinMaterialized(b *testing.B) { benchJoinPipeline(b, false) }
 // every access resolves through the FK indirection.
 func BenchmarkJoinView(b *testing.B) { benchJoinPipeline(b, true) }
 
-// --- Columnar-engine benchmarks: row-at-a-time vs batched column training. ---
+// --- Storage-engine benchmarks: batched column training. ---
 
 // benchTrainSplit prepares the Movies JoinAll training split on the chosen
 // storage engine. Env construction (including, for the columnar engine, the
@@ -396,44 +396,9 @@ func benchTrainSplit(b *testing.B, engine core.Engine) *ml.Dataset {
 }
 
 // benchNBFit measures one Naive Bayes Fit — the paper's cheapest learner,
-// where data access dominates arithmetic — under the row-at-a-time counting
-// loop on the zero-copy row engine vs the batched column path on the
-// columnar engine.
-func benchNBFit(b *testing.B, columnar bool) {
-	engine := core.EngineRow
-	if columnar {
-		engine = core.EngineColumnar
-	}
+// where data access dominates arithmetic — on the given storage engine.
+func benchNBFit(b *testing.B, engine core.Engine) {
 	train := benchTrainSplit(b, engine)
-	cfg := nb.Config{RowAtATime: !columnar}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := nb.New(cfg)
-		if err := m.Fit(train); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNBFitRowAtATime is the historical path: example-at-a-time
-// counting through the lazy join view.
-func BenchmarkNBFitRowAtATime(b *testing.B) { benchNBFit(b, false) }
-
-// BenchmarkNBFitColumnar is the batch path: label scan + per-feature
-// column scans over width-narrowed columnar storage.
-func BenchmarkNBFitColumnar(b *testing.B) { benchNBFit(b, true) }
-
-// BenchmarkNBFitSegmented re-runs the columnar fit on EngineSegmented: the
-// same morsel fan-out, but spans aligned to segment boundaries and reads
-// routed per segment. Paired against the single-slab Columnar bench at
-// parity (the gate requires segmented >= 0.95x slab, not a speedup):
-// segmentation buys spill capability and skip statistics, and this pair
-// proves it does not tax the hot loops. It sits directly after its pair
-// sibling so the two run back to back — within-run pair ratios stay
-// meaningful even when a long sweep drifts with machine load.
-func BenchmarkNBFitSegmented(b *testing.B) {
-	train := benchTrainSplit(b, core.EngineSegmented)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -444,36 +409,24 @@ func BenchmarkNBFitSegmented(b *testing.B) {
 	}
 }
 
+// BenchmarkNBFitColumnar is the counting path on the default engine: label
+// scan + per-feature column scans over width-narrowed columnar storage.
+func BenchmarkNBFitColumnar(b *testing.B) { benchNBFit(b, core.EngineColumnar) }
+
+// BenchmarkNBFitSegmented re-runs the columnar fit on EngineSegmented: the
+// same morsel fan-out, but spans aligned to segment boundaries and reads
+// routed per segment. Paired against the single-slab Columnar bench at
+// parity (the gate requires segmented >= 0.95x slab, not a speedup):
+// segmentation buys spill capability and skip statistics, and this pair
+// proves it does not tax the hot loops. It sits directly after its pair
+// sibling so the two run back to back — within-run pair ratios stay
+// meaningful even when a long sweep drifts with machine load.
+func BenchmarkNBFitSegmented(b *testing.B) { benchNBFit(b, core.EngineSegmented) }
+
 // benchTreeFit measures one decision-tree Fit — dominated by the per-node
-// split search — under the per-cell map-tally search on the row engine vs
-// the morsel-parallel columnar search on the columnar engine.
-func benchTreeFit(b *testing.B, columnar bool) {
-	engine := core.EngineRow
-	if columnar {
-		engine = core.EngineColumnar
-	}
+// morsel-parallel split search — on the given storage engine.
+func benchTreeFit(b *testing.B, engine core.Engine) {
 	train := benchTrainSplit(b, engine)
-	cfg := tree.Config{Criterion: tree.Gini, MinSplit: 10, CP: 1e-3, RowAtATime: !columnar}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := tree.New(cfg)
-		if err := tr.Fit(train); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTreeSplitRowAtATime is the historical per-cell split search.
-func BenchmarkTreeSplitRowAtATime(b *testing.B) { benchTreeFit(b, false) }
-
-// BenchmarkTreeSplitColumnar is the batched column-scan split search.
-func BenchmarkTreeSplitColumnar(b *testing.B) { benchTreeFit(b, true) }
-
-// BenchmarkTreeSplitSegmented is the segmented parity sibling of
-// BenchmarkTreeSplitColumnar (see BenchmarkNBFitSegmented).
-func BenchmarkTreeSplitSegmented(b *testing.B) {
-	train := benchTrainSplit(b, core.EngineSegmented)
 	cfg := tree.Config{Criterion: tree.Gini, MinSplit: 10, CP: 1e-3}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -485,22 +438,25 @@ func BenchmarkTreeSplitSegmented(b *testing.B) {
 	}
 }
 
-// --- Iterative-learner benchmarks: row-at-a-time vs columnar epochs. ---
-//
-// The iterative gradient learners re-read every feature every epoch, so the
-// columnar win compounds: one batched column pass per Fit (into the
-// active-index matrix / column block) replaces an n×d row-gather per epoch.
+// BenchmarkTreeSplitColumnar is the batched column-scan split search.
+func BenchmarkTreeSplitColumnar(b *testing.B) { benchTreeFit(b, core.EngineColumnar) }
 
-// benchLogRegFit measures one logistic-regression Fit (30 SGD epochs) under
-// the per-example row gathers on the row engine vs the one-pass active-index
-// materialization on the columnar engine.
-func benchLogRegFit(b *testing.B, columnar bool) {
-	engine := core.EngineRow
-	if columnar {
-		engine = core.EngineColumnar
-	}
-	train := benchTrainSplit(b, engine)
-	cfg := linear.LogRegConfig{Lambda: 1e-3, Seed: 7, RowAtATime: !columnar}
+// BenchmarkTreeSplitSegmented is the segmented parity sibling of
+// BenchmarkTreeSplitColumnar (see BenchmarkNBFitSegmented).
+func BenchmarkTreeSplitSegmented(b *testing.B) { benchTreeFit(b, core.EngineSegmented) }
+
+// --- Iterative-learner benchmarks: columnar epochs. ---
+//
+// The iterative gradient learners re-read every feature every epoch; one
+// batched column pass per Fit (into the active-index matrix / column block)
+// stands in for an n×d row gather per epoch.
+
+// BenchmarkLogRegFitColumnar measures one logistic-regression Fit (30 SGD
+// epochs): every feature is scanned once into the active-index matrix and
+// the pass is amortized over all epochs.
+func BenchmarkLogRegFitColumnar(b *testing.B) {
+	train := benchTrainSplit(b, core.EngineColumnar)
+	cfg := linear.LogRegConfig{Lambda: 1e-3, Seed: 7}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -511,31 +467,17 @@ func benchLogRegFit(b *testing.B, columnar bool) {
 	}
 }
 
-// BenchmarkLogRegFitRowAtATime is the historical epoch loop: one row gather
-// plus Encoder.ActiveIndices per example per epoch through the join view.
-func BenchmarkLogRegFitRowAtATime(b *testing.B) { benchLogRegFit(b, false) }
-
-// BenchmarkLogRegFitColumnar scans every feature once into the active-index
-// matrix and amortizes the pass over all epochs.
-func BenchmarkLogRegFitColumnar(b *testing.B) { benchLogRegFit(b, true) }
-
-// benchSVMFit measures one SMO Fit — row pinning plus the n×n kernel-cache
-// build plus the optimization loop — under per-row materialization and
-// row-pair match counts vs batched column scans and the morsel-parallel
-// columnar cache build.
-func benchSVMFit(b *testing.B, columnar, errorCache bool) {
-	engine := core.EngineRow
-	if columnar {
-		engine = core.EngineColumnar
-	}
-	train := benchTrainSplit(b, engine)
+// benchSVMFit measures one SMO Fit — row pinning by batched column scans,
+// the morsel-parallel n×n kernel-cache build, and the optimization loop —
+// with the exact loop or the approximate error-cache loop.
+func benchSVMFit(b *testing.B, errorCache bool) {
+	train := benchTrainSplit(b, core.EngineColumnar)
 	cfg := svm.Config{
 		Kernel:       svm.RBF,
 		C:            10,
 		Gamma:        0.1,
 		SubsampleCap: envInt("REPRO_SVMCAP", 1024),
 		Seed:         7,
-		RowAtATime:   !columnar,
 		ErrorCache:   errorCache,
 	}
 	b.ReportAllocs()
@@ -551,13 +493,8 @@ func benchSVMFit(b *testing.B, columnar, errorCache bool) {
 	}
 }
 
-// BenchmarkSVMFitRowAtATime is the historical path: MaterializedRows plus a
-// sequential row-pair kernel cache.
-func BenchmarkSVMFitRowAtATime(b *testing.B) { benchSVMFit(b, false, false) }
-
-// BenchmarkSVMFitColumnar pulls each feature in one batched column scan and
-// builds the kernel cache from column-at-a-time match counts in parallel.
-func BenchmarkSVMFitColumnar(b *testing.B) { benchSVMFit(b, true, false) }
+// BenchmarkSVMFitColumnar is the exact SMO fit.
+func BenchmarkSVMFitColumnar(b *testing.B) { benchSVMFit(b, false) }
 
 // BenchmarkSVMFitErrorCache is the approximate-tier sibling of
 // BenchmarkSVMFitColumnar: identical data, engine, and hyper-parameters,
@@ -565,25 +502,20 @@ func BenchmarkSVMFitColumnar(b *testing.B) { benchSVMFit(b, true, false) }
 // by incremental E-vector maintenance and max-violating-pair selection.
 // Accuracy-gated (not bit-identical); benchgate holds it to ≥1.5× over the
 // Columnar default.
-func BenchmarkSVMFitErrorCache(b *testing.B) { benchSVMFit(b, true, true) }
+func BenchmarkSVMFitErrorCache(b *testing.B) { benchSVMFit(b, true) }
 
-// benchANNFit measures one MLP Fit (mini-batch Adam) under per-example row
-// gathers vs the one-pass active-index materialization. Network sizes match
-// the EffortFast grid so the bench isolates data access against a realistic
-// arithmetic load.
-func benchANNFit(b *testing.B, columnar, fusedAdam bool) {
-	engine := core.EngineRow
-	if columnar {
-		engine = core.EngineColumnar
-	}
-	train := benchTrainSplit(b, engine)
+// benchANNFit measures one MLP Fit (mini-batch Adam) fed from the one-pass
+// active-index matrix, with the exact sparse Adam or the approximate fused
+// one. Network sizes match the EffortFast grid so the bench weighs data
+// access against a realistic arithmetic load.
+func benchANNFit(b *testing.B, fusedAdam bool) {
+	train := benchTrainSplit(b, core.EngineColumnar)
 	cfg := ann.Config{
 		Hidden1:      32,
 		Hidden2:      16,
 		LearningRate: 1e-2,
 		Epochs:       10,
 		Seed:         7,
-		RowAtATime:   !columnar,
 		FusedAdam:    fusedAdam,
 	}
 	b.ReportAllocs()
@@ -596,20 +528,15 @@ func benchANNFit(b *testing.B, columnar, fusedAdam bool) {
 	}
 }
 
-// BenchmarkANNFitRowAtATime is the historical epoch loop: one row gather per
-// example per epoch.
-func BenchmarkANNFitRowAtATime(b *testing.B) { benchANNFit(b, false, false) }
-
-// BenchmarkANNFitColumnar feeds the sparse input layer from the one-pass
-// active-index matrix.
-func BenchmarkANNFitColumnar(b *testing.B) { benchANNFit(b, true, false) }
+// BenchmarkANNFitColumnar is the exact mini-batch Adam fit.
+func BenchmarkANNFitColumnar(b *testing.B) { benchANNFit(b, false) }
 
 // BenchmarkANNFitFusedAdam is the approximate-tier sibling of
 // BenchmarkANNFitColumnar: identical data, engine, and hyper-parameters,
 // with Config.FusedAdam replacing the sparse per-row Adam chains by one
 // fused mat.AdamStep pass per contiguous slab. Accuracy-gated (not
 // bit-identical); benchgate holds it to ≥1.5× over the Columnar default.
-func BenchmarkANNFitFusedAdam(b *testing.B) { benchANNFit(b, true, true) }
+func BenchmarkANNFitFusedAdam(b *testing.B) { benchANNFit(b, true) }
 
 // benchKernelCache measures one n×n SVM Gram-matrix build at the SVMFit
 // bench scale — the dominant arithmetic of a capped SMO fit — as the per-pair
@@ -1040,11 +967,11 @@ func BenchmarkSelectEqSegFullScan(b *testing.B) { benchSelectEqSeg(b, false) }
 // touches only the segments whose [min, max] admits the value.
 func BenchmarkSelectEqSegZoneSkip(b *testing.B) { benchSelectEqSeg(b, true) }
 
-// benchTreeSplitZone measures a tree fit over a segmented dataset padded
-// with constant columns — the shape zone-map feature skipping targets: the
-// skip proves each constant feature irrelevant from its folded [min, max]
-// and never gathers it during split search.
-func benchTreeSplitZone(b *testing.B, skip bool) {
+// BenchmarkTreeSplitZoneSkip measures a tree fit over a segmented dataset
+// padded with constant columns — the shape zone-map feature skipping
+// targets: the split search proves each constant feature irrelevant from
+// its folded [min, max] and never gathers it.
+func BenchmarkTreeSplitZoneSkip(b *testing.B) {
 	const n, nConst = 40000, 6
 	cols := []relational.Column{
 		{Name: "Y", Kind: relational.KindTarget, Domain: relational.NewDomain("Y", 2)},
@@ -1077,7 +1004,7 @@ func benchTreeSplitZone(b *testing.B, skip bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := tree.Config{Criterion: tree.Gini, MinSplit: 10, CP: 1e-3, NoZoneSkip: !skip}
+	cfg := tree.Config{Criterion: tree.Gini, MinSplit: 10, CP: 1e-3}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1087,14 +1014,6 @@ func benchTreeSplitZone(b *testing.B, skip bool) {
 		}
 	}
 }
-
-// BenchmarkTreeSplitZoneFullSearch tallies every feature at every node,
-// constant columns included.
-func BenchmarkTreeSplitZoneFullSearch(b *testing.B) { benchTreeSplitZone(b, false) }
-
-// BenchmarkTreeSplitZoneSkip prunes provably-constant features from the
-// split search via the dataset's zone-map range.
-func BenchmarkTreeSplitZoneSkip(b *testing.B) { benchTreeSplitZone(b, true) }
 
 // benchSegParScan pins the segment-per-morsel fan-out against the
 // single-slab sequential scan it replaces: both sides fold the same column

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,24 +11,25 @@ import (
 
 const baselineText = `goos: linux
 cpu: whatever
-BenchmarkNBFitRowAtATime-8    	      10	  1000000 ns/op	  100 B/op	 1 allocs/op
-BenchmarkNBFitRowAtATime-8    	      10	  1200000 ns/op	  100 B/op	 1 allocs/op
-BenchmarkNBFitRowAtATime-8    	      10	  1100000 ns/op	  100 B/op	 1 allocs/op
-BenchmarkNBFitColumnar-8      	      10	   300000 ns/op	  100 B/op	 1 allocs/op
+BenchmarkLogRegFitColumnar-8  	      10	  1000000 ns/op	  100 B/op	 1 allocs/op
+BenchmarkLogRegFitColumnar-8  	      10	  1200000 ns/op	  100 B/op	 1 allocs/op
+BenchmarkLogRegFitColumnar-8  	      10	  1100000 ns/op	  100 B/op	 1 allocs/op
 BenchmarkServeFactorized-8    	     100	      500 ns/op	    0 B/op	 0 allocs/op
 PASS
 `
 
-// segPairLines satisfies the zone-map, segmented-parity, and approximate-tier
-// groups the default gate includes: zone skips clear 1.5x, the parity pairs
-// sit at 1.0 (enough for the group's @0.95 bar), and the error-cache SMO /
-// fused-Adam kernels beat their exact columnar siblings at 2.5x.
+// segPairLines satisfies every default group but the compute-kernel one,
+// which each test supplies itself: the zone skip clears 1.5x, the parity
+// pairs sit at 1.0 (enough for the group's @0.95 bar), coalescing clears 2x,
+// and the error-cache SMO / fused-Adam kernels beat their exact columnar
+// siblings at 2.5x.
 const segPairLines = `
+BenchmarkSVMFitColumnar        	      10	  1000000 ns/op
 BenchmarkSVMFitErrorCache      	      10	   400000 ns/op
+BenchmarkANNFitColumnar        	      10	  1000000 ns/op
 BenchmarkANNFitFusedAdam       	      10	   400000 ns/op
 BenchmarkSelectEqSegFullScan   	      10	  2000000 ns/op
 BenchmarkSelectEqSegZoneSkip   	      10	   100000 ns/op
-BenchmarkTreeSplitZoneFullSearch	      10	  2000000 ns/op
 BenchmarkTreeSplitZoneSkip     	      10	  1200000 ns/op
 BenchmarkSegParScanSlab        	      10	  1000000 ns/op
 BenchmarkSegParScanSeg         	      10	  1000000 ns/op
@@ -54,16 +56,16 @@ func TestParseBenchMediansAndSuffixStripping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := median(allocs["BenchmarkNBFitRowAtATime"]); got != 1 {
+	if got := median(allocs["BenchmarkLogRegFitColumnar"]); got != 1 {
 		t.Fatalf("allocs median = %v, want 1", got)
 	}
-	if got := median(m["BenchmarkNBFitRowAtATime"]); got != 1100000 {
+	if got := median(m["BenchmarkLogRegFitColumnar"]); got != 1100000 {
 		t.Fatalf("median = %v, want 1100000", got)
 	}
 	if got := median(m["BenchmarkServeFactorized"]); got != 500 {
 		t.Fatalf("serve median = %v", got)
 	}
-	if _, ok := m["BenchmarkNBFitRowAtATime-8"]; ok {
+	if _, ok := m["BenchmarkLogRegFitColumnar-8"]; ok {
 		t.Fatal("GOMAXPROCS suffix must be stripped")
 	}
 	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
@@ -74,15 +76,8 @@ func TestParseBenchMediansAndSuffixStripping(t *testing.T) {
 func TestGatePassesWithinTolerance(t *testing.T) {
 	base := writeTemp(t, "base.txt", baselineText)
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkNBFitRowAtATime-4    	      10	  1150000 ns/op
-BenchmarkNBFitColumnar-4      	      10	   310000 ns/op
+BenchmarkLogRegFitColumnar-4  	      10	  1150000 ns/op
 BenchmarkServeFactorized-4    	     100	      510 ns/op
-BenchmarkLogRegFitRowAtATime-4	      10	  2000000 ns/op
-BenchmarkLogRegFitColumnar-4  	      10	  1000000 ns/op
-BenchmarkSVMFitRowAtATime-4   	      10	  1000000 ns/op
-BenchmarkSVMFitColumnar-4     	      10	  1000000 ns/op
-BenchmarkANNFitRowAtATime-4   	      10	  1000000 ns/op
-BenchmarkANNFitColumnar-4     	      10	  1000000 ns/op
 BenchmarkSVMKernelCacheScalar-4	      10	  2000000 ns/op
 BenchmarkSVMKernelCacheGemm-4 	      10	   800000 ns/op
 `+segPairLines)
@@ -90,24 +85,18 @@ BenchmarkSVMKernelCacheGemm-4 	      10	   800000 ns/op
 	if err := run([]string{"-baseline", base, "-current", cur}, &sb); err != nil {
 		t.Fatalf("gate failed: %v\n%s", err, sb.String())
 	}
-	if !strings.Contains(sb.String(), "pair LogRegFit: fast side 2.00x") {
-		t.Fatalf("missing pair report:\n%s", sb.String())
+	if !strings.Contains(sb.String(), "ok   BenchmarkLogRegFitColumnar") {
+		t.Fatalf("missing regression report:\n%s", sb.String())
 	}
 	if !strings.Contains(sb.String(), "pair SVMKernelCache/Scalar/Gemm: fast side 2.50x") {
-		t.Fatalf("missing custom-suffix pair report:\n%s", sb.String())
+		t.Fatalf("missing pair report:\n%s", sb.String())
 	}
 }
 
 func TestPairGroupsEachRequireAWinner(t *testing.T) {
-	// LogReg clears 1.5x but the ANN/SVM compute-kernel group does not —
-	// the gate must fail: a logreg-only speedup can no longer carry it.
+	// Every other group clears its bar but the compute-kernel group does
+	// not — the gate must fail: one group's winner cannot carry another.
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkLogRegFitRowAtATime	      10	  2000000 ns/op
-BenchmarkLogRegFitColumnar  	      10	  1000000 ns/op
-BenchmarkSVMFitRowAtATime   	      10	  1000000 ns/op
-BenchmarkSVMFitColumnar     	      10	  1000000 ns/op
-BenchmarkANNFitRowAtATime   	      10	  1000000 ns/op
-BenchmarkANNFitColumnar     	      10	  1000000 ns/op
 BenchmarkSVMKernelCacheScalar	      10	  1000000 ns/op
 BenchmarkSVMKernelCacheGemm 	      10	   900000 ns/op
 `+segPairLines)
@@ -116,15 +105,9 @@ BenchmarkSVMKernelCacheGemm 	      10	   900000 ns/op
 	if err == nil || !strings.Contains(sb.String(), "FAIL pairs") {
 		t.Fatalf("compute-kernel group at 1.11x must fail (err %v):\n%s", err, sb.String())
 	}
-	// With the SVM Gram build at 2.5x the same run passes: the second group
-	// has its ANN/SVM winner.
+	// With the SVM Gram build at 2.5x the same run passes: the
+	// compute-kernel group has its winner.
 	cur2 := writeTemp(t, "cur2.txt", `
-BenchmarkLogRegFitRowAtATime	      10	  2000000 ns/op
-BenchmarkLogRegFitColumnar  	      10	  1000000 ns/op
-BenchmarkSVMFitRowAtATime   	      10	  1000000 ns/op
-BenchmarkSVMFitColumnar     	      10	  1000000 ns/op
-BenchmarkANNFitRowAtATime   	      10	  1000000 ns/op
-BenchmarkANNFitColumnar     	      10	  1000000 ns/op
 BenchmarkSVMKernelCacheScalar	      10	  2500000 ns/op
 BenchmarkSVMKernelCacheGemm 	      10	  1000000 ns/op
 `+segPairLines)
@@ -135,8 +118,10 @@ BenchmarkSVMKernelCacheGemm 	      10	  1000000 ns/op
 }
 
 func TestPairNamesSyntax(t *testing.T) {
-	if _, _, err := pairNames("A/B"); err == nil {
-		t.Fatal("two-part pair spec must be rejected")
+	for _, bad := range []string{"LogRegFit", "A/B", "A/B/C/D"} {
+		if _, _, err := pairNames(bad); err == nil {
+			t.Fatalf("pair spec %q must be rejected", bad)
+		}
 	}
 	slow, fast, err := pairNames("ServeBatch/Scalar/Gemm")
 	if err != nil || slow != "BenchmarkServeBatchScalar" || fast != "BenchmarkServeBatchGemm" {
@@ -147,8 +132,7 @@ func TestPairNamesSyntax(t *testing.T) {
 func TestGateFailsOnRegression(t *testing.T) {
 	base := writeTemp(t, "base.txt", baselineText)
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkNBFitRowAtATime    	      10	  2000000 ns/op
-BenchmarkNBFitColumnar      	      10	   310000 ns/op
+BenchmarkLogRegFitColumnar  	      10	  2000000 ns/op
 BenchmarkServeFactorized    	     100	      500 ns/op
 `)
 	var sb strings.Builder
@@ -156,7 +140,7 @@ BenchmarkServeFactorized    	     100	      500 ns/op
 	if err == nil {
 		t.Fatalf("gate must fail on an 82%% regression:\n%s", sb.String())
 	}
-	if !strings.Contains(sb.String(), "FAIL BenchmarkNBFitRowAtATime") {
+	if !strings.Contains(sb.String(), "FAIL BenchmarkLogRegFitColumnar") {
 		t.Fatalf("missing failure line:\n%s", sb.String())
 	}
 }
@@ -164,8 +148,7 @@ BenchmarkServeFactorized    	     100	      500 ns/op
 func TestGateWarnsOnCurrentOnlyBenchmark(t *testing.T) {
 	base := writeTemp(t, "base.txt", baselineText)
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkNBFitRowAtATime    	      10	  1000000 ns/op
-BenchmarkNBFitColumnar      	      10	   300000 ns/op
+BenchmarkLogRegFitColumnar  	      10	  1000000 ns/op
 BenchmarkServeFactorized    	     100	      500 ns/op
 BenchmarkTreeSplitColumnar  	      10	   100000 ns/op
 `)
@@ -181,7 +164,6 @@ BenchmarkTreeSplitColumnar  	      10	   100000 ns/op
 func TestGateFailsOnMissingBenchmark(t *testing.T) {
 	base := writeTemp(t, "base.txt", baselineText)
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkNBFitRowAtATime    	      10	  1000000 ns/op
 BenchmarkServeFactorized    	     100	      500 ns/op
 `)
 	var sb strings.Builder
@@ -193,29 +175,23 @@ BenchmarkServeFactorized    	     100	      500 ns/op
 
 func TestGateFailsWithoutPairSpeedup(t *testing.T) {
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkLogRegFitRowAtATime	      10	  1000000 ns/op
-BenchmarkLogRegFitColumnar  	      10	   900000 ns/op
-BenchmarkSVMFitRowAtATime   	      10	  1000000 ns/op
-BenchmarkSVMFitColumnar     	      10	  1000000 ns/op
-BenchmarkANNFitRowAtATime   	      10	  1000000 ns/op
-BenchmarkANNFitColumnar     	      10	  1100000 ns/op
 BenchmarkSVMKernelCacheScalar	      10	  1000000 ns/op
-BenchmarkSVMKernelCacheGemm 	      10	  1000000 ns/op
+BenchmarkSVMKernelCacheGemm 	      10	  1100000 ns/op
 `+segPairLines)
 	var sb strings.Builder
 	err := run([]string{"-current", cur}, &sb)
-	if err == nil || !strings.Contains(sb.String(), "FAIL pairs") {
-		t.Fatalf("pair gate must fail at 1.11x best speedup (err %v):\n%s", err, sb.String())
+	if err == nil || !strings.Contains(sb.String(), "FAIL pairs: best speedup 0.91x") {
+		t.Fatalf("pair gate must fail at a 0.91x speedup (err %v):\n%s", err, sb.String())
 	}
 }
 
 func TestPairGateErrorsOnMissingSibling(t *testing.T) {
 	cur := writeTemp(t, "cur.txt", `
-BenchmarkLogRegFitRowAtATime	      10	  1000000 ns/op
+BenchmarkSVMKernelCacheScalar	      10	  1000000 ns/op
 `)
 	var sb strings.Builder
-	if err := run([]string{"-current", cur, "-pairs", "LogRegFit"}, &sb); err == nil {
-		t.Fatal("missing columnar sibling must error")
+	if err := run([]string{"-current", cur, "-pairs", "SVMKernelCache/Scalar/Gemm"}, &sb); err == nil {
+		t.Fatal("missing fast sibling must error")
 	}
 }
 
@@ -316,12 +292,12 @@ func TestJSONSummary(t *testing.T) {
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
-	nb, ok := got.Benchmarks["BenchmarkNBFitRowAtATime"]
+	lr, ok := got.Benchmarks["BenchmarkLogRegFitColumnar"]
 	if !ok {
 		t.Fatalf("summary missing gated benchmark: %s", raw)
 	}
-	if nb.NsPerOp != 1100000 || nb.Samples != 3 || nb.AllocsPerOp == nil || *nb.AllocsPerOp != 1 {
-		t.Fatalf("NBFitRowAtATime summary %+v", nb)
+	if lr.NsPerOp != 1100000 || lr.Samples != 3 || lr.AllocsPerOp == nil || *lr.AllocsPerOp != 1 {
+		t.Fatalf("LogRegFitColumnar summary %+v", lr)
 	}
 	co := got.Benchmarks["BenchmarkServeConcurrentCoalesced"]
 	if co.AllocsPerOp == nil || *co.AllocsPerOp != 0 {
@@ -334,4 +310,29 @@ func TestJSONSummary(t *testing.T) {
 	if _, ok := got.Benchmarks["BenchmarkBogus"]; ok {
 		t.Fatal("ungated benchmark leaked into summary")
 	}
+}
+
+// TestDefaultGateMatchesMakefile guards the two copies of the gate regexp:
+// the Makefile's BENCH_REGEX selects which benchmarks run, defaultGate which
+// of them the regression check and -json digest cover. A benchmark added to
+// one and not the other would run ungated or fail as missing.
+func TestDefaultGateMatchesMakefile(t *testing.T) {
+	f, err := os.Open("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if re, ok := strings.CutPrefix(sc.Text(), "BENCH_REGEX = "); ok {
+			if got := "^" + strings.ReplaceAll(re, "$$", "$"); got != defaultGate {
+				t.Fatalf("Makefile BENCH_REGEX and defaultGate diverged:\nMakefile: %s\nbenchgate: %s", got, defaultGate)
+			}
+			return
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	t.Fatal("Makefile has no BENCH_REGEX line")
 }

@@ -189,17 +189,17 @@ var SegmentDefaults relational.SegmentOptions
 // default — the factorized join is evaluated once into width-narrowed
 // struct-of-arrays storage; the split parts are index views over it and
 // every batched ScanFeature a learner issues bottoms out in a sequential
-// scan of one narrow column. NewEnvRow keeps the zero-copy JoinView pipeline
+// scan of one narrow column. EngineRow keeps the zero-copy JoinView pipeline
 // (the joined table never exists physically, FK indirection resolves per
-// access); NewEnvMaterialized restores the historical eager row-major
-// pipeline. All three yield bit-identical results.
+// access) and EngineSegmented the chunked, optionally spilled one (see
+// NewEnvEngine). All yield bit-identical results.
 type Env struct {
 	Star      *relational.StarSchema
 	Joined    relational.Relation
 	TargetCol int
 	Split     relational.Split
 
-	// spillDir/fs are set by NewEnvSegmented when the out-of-core tier is
+	// spillDir/fs are set on EngineSegmented when the out-of-core tier is
 	// active; Close sweeps the directory for orphaned heap files with them.
 	spillDir string
 	fs       fault.FS
@@ -209,88 +209,49 @@ type Env struct {
 // (EngineColumnar). The split is seeded and retained, mirroring the paper's
 // "pre-split, retained as is" protocol.
 func NewEnv(ss *relational.StarSchema, seed uint64) (*Env, error) {
-	return NewEnvColumnar(ss, seed)
+	return NewEnvEngine(ss, seed, EngineColumnar)
 }
 
-// NewEnvRow builds the factorized zero-copy pipeline: the join stays a
-// relational.JoinView and the lazy split views sit directly on it, so no
-// joined storage of any layout is ever materialized.
-func NewEnvRow(ss *relational.StarSchema, seed uint64) (*Env, error) {
-	joined, err := relational.NewJoinView(ss)
-	if err != nil {
-		return nil, err
-	}
-	return newEnvOver(ss, joined, seed)
-}
-
-// NewEnvColumnar builds the Env on the columnar storage engine: the
-// factorized join is evaluated once into a relational.ColumnarTable and the
-// lazy split views sit on top of it, so every ScanFeature a learner issues
-// bottoms out in a sequential scan of one narrow column vector.
-func NewEnvColumnar(ss *relational.StarSchema, seed uint64) (*Env, error) {
-	jv, err := relational.NewJoinView(ss)
-	if err != nil {
-		return nil, err
-	}
-	joined := relational.MaterializeColumnar(jv, ss.Fact.Name+"_joined")
-	return newEnvOver(ss, joined, seed)
-}
-
-// NewEnvSegmented builds the Env on the segmented columnar engine: the
-// factorized join is evaluated once, segment-chunk-at-a-time, into a
-// relational.SegmentedTable configured by SegmentDefaults. With a spill
-// directory the env's joined relation lives mostly on disk; the caller owns
-// the table's lifetime (Env.Close releases the heap file and sweeps the
-// spill directory for orphans). A failure after the table exists closes it,
-// so no error path strands a heap file.
-func NewEnvSegmented(ss *relational.StarSchema, seed uint64) (env *Env, err error) {
-	jv, err := relational.NewJoinView(ss)
-	if err != nil {
-		return nil, err
-	}
-	joined, err := relational.MaterializeSegmented(jv, ss.Fact.Name+"_joined", SegmentDefaults)
-	if err != nil {
-		return nil, err
-	}
-	env, err = newEnvOver(ss, joined, seed)
-	if err != nil {
-		joined.Close()
-		return nil, err
-	}
-	env.spillDir = SegmentDefaults.SpillDir
-	env.fs = SegmentDefaults.FS
-	return env, nil
-}
-
-// NewEnvEngine dispatches on the engine choice — the seam cmd/hamlet's
-// -engine flag plugs into.
+// NewEnvEngine builds the Env on the chosen storage engine — the seam
+// cmd/hamlet's -engine flag plugs into. Every engine starts from the
+// factorized join view:
+//
+//   - EngineRow keeps it as the zero-copy pipeline: the lazy split views sit
+//     directly on the relational.JoinView, so no joined storage of any
+//     layout is ever materialized;
+//   - EngineColumnar evaluates it once into a relational.ColumnarTable, so
+//     every ScanFeature a learner issues bottoms out in a sequential scan of
+//     one narrow column vector;
+//   - EngineSegmented evaluates it once, segment-chunk-at-a-time, into a
+//     relational.SegmentedTable configured by SegmentDefaults. With a spill
+//     directory the joined relation lives mostly on disk; the caller owns
+//     the table's lifetime (Env.Close releases the heap file and sweeps the
+//     spill directory for orphans). A failure after the table exists closes
+//     it, so no error path strands a heap file.
 func NewEnvEngine(ss *relational.StarSchema, seed uint64, engine Engine) (*Env, error) {
+	jv, err := relational.NewJoinView(ss)
+	if err != nil {
+		return nil, err
+	}
 	switch engine {
 	case EngineRow:
-		return NewEnvRow(ss, seed)
+		return newEnvOver(ss, jv, seed)
 	case EngineSegmented:
-		return NewEnvSegmented(ss, seed)
+		joined, err := relational.MaterializeSegmented(jv, ss.Fact.Name+"_joined", SegmentDefaults)
+		if err != nil {
+			return nil, err
+		}
+		env, err := newEnvOver(ss, joined, seed)
+		if err != nil {
+			joined.Close()
+			return nil, err
+		}
+		env.spillDir = SegmentDefaults.SpillDir
+		env.fs = SegmentDefaults.FS
+		return env, nil
 	default:
-		return NewEnvColumnar(ss, seed)
+		return newEnvOver(ss, relational.MaterializeColumnar(jv, ss.Fact.Name+"_joined"), seed)
 	}
-}
-
-// NewEnvMaterialized is NewEnv with the historical eager pipeline: the join
-// output and all three split parts are physical tables. It exists for
-// A/B-testing the factorized path (the equivalence tests run one experiment
-// config both ways) and for workloads that rescan the splits so many times
-// that per-access indirection dominates.
-func NewEnvMaterialized(ss *relational.StarSchema, seed uint64) (*Env, error) {
-	joined, err := relational.Join(ss)
-	if err != nil {
-		return nil, err
-	}
-	env, err := newEnvOver(ss, joined, seed)
-	if err != nil {
-		return nil, err
-	}
-	env.Split = env.Split.Materialize(joined.Name)
-	return env, nil
 }
 
 // newEnvOver splits any joined relation. The seeded permutation depends only

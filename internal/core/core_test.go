@@ -343,6 +343,22 @@ func TestNewEnvDeterministicSplit(t *testing.T) {
 	_ = rng.New(1) // keep import
 }
 
+// newEnvMaterialized is the historical eager pipeline: the join output and
+// all three split parts are physical tables. It is the reference the
+// factorized pipeline is A/B-tested against.
+func newEnvMaterialized(ss *relational.StarSchema, seed uint64) (*Env, error) {
+	joined, err := relational.Join(ss)
+	if err != nil {
+		return nil, err
+	}
+	env, err := newEnvOver(ss, joined, seed)
+	if err != nil {
+		return nil, err
+	}
+	env.Split = env.Split.Materialize(joined.Name)
+	return env, nil
+}
+
 func TestFactorizedPipelineMatchesMaterialized(t *testing.T) {
 	// Acceptance check for the zero-copy refactor: the JoinView +
 	// view-backed-Dataset pipeline must produce bit-identical accuracies to
@@ -356,11 +372,11 @@ func TestFactorizedPipelineMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := NewEnvRow(ss, 7)
+	lazy, err := NewEnvEngine(ss, 7, EngineRow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager, err := NewEnvMaterialized(ss, 7)
+	eager, err := newEnvMaterialized(ss, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +534,7 @@ func TestParseEngine(t *testing.T) {
 
 func TestColumnarIsDefaultEngine(t *testing.T) {
 	// The default flip: the Engine zero value, NewEnv, and NewEnvEngine's
-	// fallback must all select columnar storage; NewEnvRow keeps the
+	// fallback must all select columnar storage; EngineRow keeps the
 	// zero-copy join view.
 	if Engine(0) != EngineColumnar {
 		t.Fatal("Engine zero value must be EngineColumnar")
@@ -538,12 +554,12 @@ func TestColumnarIsDefaultEngine(t *testing.T) {
 	if _, ok := env.Joined.(*relational.ColumnarTable); !ok {
 		t.Fatalf("NewEnv joined is %T, want *relational.ColumnarTable", env.Joined)
 	}
-	rowEnv, err := NewEnvRow(ss, 7)
+	rowEnv, err := NewEnvEngine(ss, 7, EngineRow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := rowEnv.Joined.(*relational.JoinView); !ok {
-		t.Fatalf("NewEnvRow joined is %T, want *relational.JoinView", rowEnv.Joined)
+		t.Fatalf("EngineRow joined is %T, want *relational.JoinView", rowEnv.Joined)
 	}
 }
 

@@ -1,9 +1,11 @@
 package linear
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/mltest"
 	"repro/internal/relational"
 	"repro/internal/rng"
 )
@@ -148,11 +150,67 @@ func TestLogRegFKOverfitsAtLowTupleRatio(t *testing.T) {
 	}
 }
 
+// rowFitLogReg is the historical example-at-a-time Fit, kept as the oracle
+// the columnar epoch path is pinned against: every example of every epoch
+// is gathered into a scratch row and encoded on the spot, and each SGD step
+// folds its score left to right over the active weights.
+func rowFitLogReg(cfg LogRegConfig, train *ml.Dataset) *LogReg {
+	m := NewLogReg(cfg)
+	m.enc = ml.NewEncoder(train.Features)
+	m.w = make([]float64, m.enc.Dims)
+	n := train.NumExamples()
+	r := rng.New(m.cfg.Seed)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	row := make([]relational.Value, train.NumFeatures())
+	idx := make([]int, train.NumFeatures())
+	step, t := m.cfg.LearningRate, 1.0
+	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
+		r.ShuffleInts(order)
+		for _, i := range order {
+			for j, v := range train.RowInto(row, i) {
+				idx[j] = m.enc.Index(j, v)
+			}
+			y := float64(train.Label(i))
+			z := m.b
+			for _, k := range idx {
+				z += m.w[k]
+			}
+			g := sigmoid(z) - y
+			eta := step / math.Sqrt(t)
+			t++
+			m.b -= eta * g
+			shrink := eta * m.cfg.Lambda
+			decay := 1 - eta*m.cfg.L2
+			if decay < 0 {
+				decay = 0
+			}
+			for _, k := range idx {
+				wk := (m.w[k] - eta*g) * decay
+				switch {
+				case wk > shrink:
+					wk -= shrink
+				case wk < -shrink:
+					wk += shrink
+				default:
+					wk = 0
+				}
+				m.w[k] = wk
+			}
+		}
+	}
+	return m
+}
+
 func TestLogRegColumnarMatchesRowPath(t *testing.T) {
 	// The columnar epoch path (one ScanFeature pass into the active-index
 	// matrix, amortized over all epochs) must produce a bit-identical model
-	// to the historical row-at-a-time gathers: same index values, same
-	// update sequence, so the same float trajectory.
+	// to the historical row-at-a-time gathers (rowFitLogReg): same index
+	// values, same update sequence, so the same float trajectory — on dense
+	// and subset-view datasets and on the row, columnar and segmented
+	// engines.
 	base := &ml.Dataset{Features: feats(2, 7, 5)}
 	r := rng.New(21)
 	for i := 0; i < 600; i++ {
@@ -164,13 +222,12 @@ func TestLogRegColumnarMatchesRowPath(t *testing.T) {
 	for i := range sub {
 		sub[i] = r.Intn(600)
 	}
-	for name, ds := range map[string]*ml.Dataset{"dense": base, "view": base.Subset(sub)} {
+	cases := mltest.Engines(t, base, 128)
+	cases["dense"], cases["view"] = base, base.Subset(sub)
+	for name, ds := range cases {
 		cfg := LogRegConfig{Lambda: 1e-3, L2: 1e-4, Seed: 23}
-		row := NewLogReg(LogRegConfig{Lambda: cfg.Lambda, L2: cfg.L2, Seed: cfg.Seed, RowAtATime: true})
+		row := rowFitLogReg(cfg, ds)
 		col := NewLogReg(cfg)
-		if err := row.Fit(ds); err != nil {
-			t.Fatal(err)
-		}
 		if err := col.Fit(ds); err != nil {
 			t.Fatal(err)
 		}

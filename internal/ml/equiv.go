@@ -10,14 +10,15 @@ import (
 // This file is the accuracy-level verification tier's measurement core.
 //
 // The repo's first tier of equivalence is bit-identity: an optimized access
-// path must reproduce the reference model's parameters exactly (the
-// RowAtATime A/B tests). Some optimizations cannot clear that bar by
-// construction — they change the optimization trajectory, not just the data
-// movement — so the second tier asks the question that actually matters for
-// the paper's claims: does the approximate path learn a model of the same
-// held-out quality? CompareClassifiers measures that divergence and
-// Tolerance bounds it; core.VerifyAccuracy runs the measurement across the
-// dataset × engine matrix for every registered approximate kernel.
+// path must reproduce the reference model's parameters exactly (each
+// learner's tests pin its one training path to a test-only oracle of the
+// historical row-at-a-time algorithm). Some optimizations cannot clear that
+// bar by construction — they change the optimization trajectory, not just
+// the data movement — so the second tier asks the question that actually
+// matters for the paper's claims: does the approximate path learn a model
+// of the same held-out quality? CompareClassifiers measures that divergence
+// and Tolerance bounds it; core.VerifyAccuracy runs the measurement across
+// the dataset × engine matrix for every registered approximate kernel.
 
 // Prober is an optional Classifier extension exposing the positive-class
 // probability; when both sides of a comparison implement it, the harness

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/mltest"
 	"repro/internal/relational"
 	"repro/internal/rng"
 )
@@ -308,9 +309,49 @@ func TestFilterSelectKeepsTopK(t *testing.T) {
 	}
 }
 
+// rowFit is the historical example-at-a-time Fit, kept as the oracle the
+// batched counting path is pinned against: every example is gathered as a
+// row and tallied cell by cell, then smoothed as Fit smooths.
+func rowFit(cfg Config, train *ml.Dataset) *NaiveBayes {
+	nb := New(cfg)
+	n, d := train.NumExamples(), train.NumFeatures()
+	nb.enc = ml.NewEncoder(train.Features)
+	nb.active = make([]bool, d)
+	for j := range nb.active {
+		nb.active[j] = true
+	}
+	var classN [2]float64
+	counts := make([]float64, nb.enc.Dims*2)
+	for i := 0; i < n; i++ {
+		classN[train.Label(i)]++
+	}
+	for i := 0; i < n; i++ {
+		row := train.Row(i)
+		c := int(train.Label(i))
+		for j, v := range row {
+			counts[nb.enc.Index(j, v)*2+c]++
+		}
+	}
+	for c := 0; c < 2; c++ {
+		nb.logPrior[c] = logf((classN[c] + nb.cfg.Alpha) / (float64(n) + 2*nb.cfg.Alpha))
+	}
+	nb.logLik = make([]float64, nb.enc.Dims*2)
+	for j := 0; j < d; j++ {
+		card := float64(train.Features[j].Cardinality)
+		for v := 0; v < train.Features[j].Cardinality; v++ {
+			k := nb.enc.Index(j, relational.Value(v))
+			for c := 0; c < 2; c++ {
+				nb.logLik[k*2+c] = logf((counts[k*2+c] + nb.cfg.Alpha) / (classN[c] + nb.cfg.Alpha*card))
+			}
+		}
+	}
+	return nb
+}
+
 // TestBatchFitMatchesRowAtATime pins the batch counting path to the
-// historical example-at-a-time loop: identical models (priors, conditional
-// tables) and identical predictions, on dense and on subset-view datasets.
+// historical example-at-a-time loop (rowFit): identical models (priors,
+// conditional tables) and identical predictions, on dense, subset-view and
+// feature-remap datasets and on the row, columnar and segmented engines.
 func TestBatchFitMatchesRowAtATime(t *testing.T) {
 	r := rng.New(17)
 	ds := &ml.Dataset{Features: feats(4, 7, 2, 300)}
@@ -331,19 +372,20 @@ func TestBatchFitMatchesRowAtATime(t *testing.T) {
 	for i := 0; i < n; i += 2 {
 		sub = append(sub, i)
 	}
-	for name, train := range map[string]*ml.Dataset{
+	cases := map[string]*ml.Dataset{
 		"dense":         ds,
 		"subset-view":   ds.Subset(sub),
 		"feature-remap": ds.SelectFeatures([]int{3, 0, 1}),
-	} {
+	}
+	for engine, over := range mltest.Engines(t, ds, 512) {
+		cases[engine] = over
+	}
+	for name, train := range cases {
 		batch := New(Config{})
 		if err := batch.Fit(train); err != nil {
 			t.Fatalf("%s: batch fit: %v", name, err)
 		}
-		rows := New(Config{RowAtATime: true})
-		if err := rows.Fit(train); err != nil {
-			t.Fatalf("%s: row fit: %v", name, err)
-		}
+		rows := rowFit(Config{}, train)
 		if batch.logPrior != rows.logPrior {
 			t.Fatalf("%s: priors diverged: %v vs %v", name, batch.logPrior, rows.logPrior)
 		}

@@ -588,14 +588,14 @@ func (t *SegmentedTable) MustAppendRows(block []Value) {
 }
 
 // MaterializeSegmented evaluates any relation into a SegmentedTable — the
-// segmented sibling of MaterializeColumnar, and the path core.NewEnvSegmented
-// uses to turn the factorized join into sealed, skippable, spillable
-// segments. ColumnScanner sources are drained one segment chunk at a time
-// (each chunk reads every column sequentially, then seals), so ingestion's
-// resident working set is one open segment regardless of table size; other
-// sources fall back to row-at-a-time appends. Like MaterializeColumnar,
-// source cell values outside their column's domain indicate a corrupted
-// relation and panic.
+// segmented sibling of MaterializeColumnar, and the path core.NewEnvEngine
+// takes on the segmented engine to turn the factorized join into sealed,
+// skippable, spillable segments. ColumnScanner sources are drained one
+// segment chunk at a time (each chunk reads every column sequentially, then
+// seals), so ingestion's resident working set is one open segment
+// regardless of table size; other sources fall back to row-at-a-time
+// appends. Like MaterializeColumnar, source cell values outside their
+// column's domain indicate a corrupted relation and panic.
 func MaterializeSegmented(r Relation, name string, opts SegmentOptions) (*SegmentedTable, error) {
 	out, err := NewSegmentedTable(name, r.Schema(), opts)
 	if err != nil {

@@ -33,13 +33,6 @@ type Config struct {
 	SubsampleCap int
 	// Seed drives SMO's second-multiplier randomization and subsampling.
 	Seed uint64
-	// RowAtATime forces the historical access path: rows pinned one at a
-	// time through MaterializedRows and the kernel cache built from
-	// row-pair match counts. The default consumes features column-at-a-time
-	// (one batched scan per feature, morsel-parallel cache build); both
-	// paths produce bit-identical models — the flag exists for A/B
-	// benchmarks and equivalence tests.
-	RowAtATime bool
 	// ErrorCache selects the approximate SMO loop: the prediction-error
 	// vector E[i] = f(i) − y[i] is maintained incrementally across α steps
 	// (two kernel rows plus the bias delta per successful update) and each
@@ -106,31 +99,18 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 	d := ds.NumFeatures()
 
 	// Pin every training row once — the kernel loops read two rows at a
-	// time and the support set must outlive Fit. On the default columnar
-	// path every feature is pulled in one batched column scan scattered
-	// straight into the row-major block (ml.ScanRowMajor; under a
-	// subsample view the scan bottoms out in the relation's column
-	// gather), replacing n×d single-cell view accesses with d sequential
-	// scans — and the block then feeds the Gram build's blocked match-count
-	// kernel directly. Config.RowAtATime restores the historical per-row
-	// materialization; cell values are identical either way.
-	columnar := !s.cfg.RowAtATime
-	var rows [][]relational.Value
-	var block []relational.Value
-	var labels []int8
-	if columnar {
-		b, l := ml.ScanRowMajor(ds)
-		block, labels = b, l
-		rows = make([][]relational.Value, n)
-		for i := range rows {
-			rows[i] = block[i*d : (i+1)*d : (i+1)*d]
-		}
-	} else {
-		rows = ds.MaterializedRows()
-		labels = make([]int8, n)
-		for i := range labels {
-			labels[i] = ds.Label(i)
-		}
+	// time and the support set must outlive Fit. Every feature is pulled in
+	// one batched column scan scattered straight into the row-major block
+	// (ml.ScanRowMajor; under a subsample view the scan bottoms out in the
+	// relation's column gather), replacing n×d single-cell view accesses
+	// with d sequential scans — and the block then feeds the Gram build's
+	// blocked match-count kernel directly. The cells are those the
+	// historical per-row pinning copied, so the model is bit-identical to it
+	// (the tests keep it as an oracle).
+	block, labels := ml.ScanRowMajor(ds)
+	rows := make([][]relational.Value, n)
+	for i := range rows {
+		rows[i] = block[i*d : (i+1)*d : (i+1)*d]
 	}
 
 	k, err := NewKernel(s.cfg.Kernel, s.cfg.Gamma, d)
@@ -159,6 +139,31 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 		return nil
 	}
 
+	// Cache kernel rows lazily? For the paper's scales (n ≤ a few thousand
+	// after capping) a full n×n cache is affordable and much faster. The
+	// build is a blocked X·Xᵀ over the pinned row-major block
+	// (mat.MatchCounts per i-block, kernel values from a match-count lookup
+	// table, i-blocks fanned across ml.ParallelFor with disjoint writes);
+	// GramBlocked documents why it is bit-identical to the per-pair
+	// GramRows build.
+	var kcache []float32
+	if n <= gramCacheCap {
+		kcache = make([]float32, n*n)
+		t0 := time.Now()
+		k.GramBlocked(kcache, block, n)
+		gramSpan.ObserveSince(t0)
+	}
+	s.optimize(r, rows, y, kcache)
+	return nil
+}
+
+// optimize runs SMO over the pinned rows and their ±1 labels, reading
+// kernel values from kcache when Fit built one (nil beyond gramCacheCap),
+// and retains the support set. r continues the stream Fit drew its
+// subsample from.
+func (s *SVM) optimize(r *rng.RNG, rows [][]relational.Value, y []float64, kcache []float32) {
+	n := len(rows)
+	k := s.kernel
 	alpha := make([]float64, n)
 	b := 0.0
 	C := s.cfg.C
@@ -167,28 +172,8 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 	if maxIter <= 0 {
 		maxIter = 200 * n
 	}
-
-	// Cache kernel rows lazily? For the paper's scales (n ≤ a few thousand
-	// after capping) a full n×n cache is affordable and much faster. The
-	// columnar build is a blocked X·Xᵀ over the pinned row-major block
-	// (mat.MatchCounts per i-block, kernel values from a match-count lookup
-	// table, i-blocks fanned across ml.ParallelFor with disjoint writes);
-	// GramBlocked documents why it is bit-identical to the per-pair
-	// GramRows build the historical path keeps.
-	var kcache []float32
-	cacheOK := n <= gramCacheCap
-	if cacheOK {
-		kcache = make([]float32, n*n)
-		t0 := time.Now()
-		if columnar {
-			k.GramBlocked(kcache, block, n)
-		} else {
-			k.GramRows(kcache, rows)
-		}
-		gramSpan.ObserveSince(t0)
-	}
 	kij := func(i, j int) float64 {
-		if cacheOK {
+		if kcache != nil {
 			return float64(kcache[i*n+j])
 		}
 		if i == j {
@@ -248,7 +233,7 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 		b = smoErrorCache(n, y, alpha, C, tol, maxIter, kcache, k, rows)
 		smoPassSpan.ObserveSince(t0)
 		s.retainSupport(rows, alpha, y, b)
-		return nil
+		return
 	}
 
 	passes, iter := 0, 0
@@ -318,7 +303,6 @@ func (s *SVM) Fit(train *ml.Dataset) error {
 	}
 
 	s.retainSupport(rows, alpha, y, b)
-	return nil
 }
 
 // retainSupport keeps the rows with nonzero multipliers as the fitted

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/ml"
+	"repro/internal/mltest"
 	"repro/internal/relational"
 	"repro/internal/rng"
 )
@@ -246,11 +247,51 @@ func TestDeterministicWithSeed(t *testing.T) {
 	}
 }
 
+// rowFit is the historical Fit, kept as the oracle the columnar pinning and
+// the blocked Gram build are pinned against: every training row is copied
+// out one RowInto at a time, labels are read per example, and the kernel
+// cache is built pair by pair (GramRows). The SMO loop itself never forked,
+// so the oracle hands its inputs to optimize. Its datasets hold both classes.
+func rowFit(t *testing.T, cfg Config, train *ml.Dataset) *SVM {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(s.cfg.Seed)
+	ds := train
+	if s.cfg.SubsampleCap > 0 && train.NumExamples() > s.cfg.SubsampleCap {
+		perm := r.Perm(train.NumExamples())
+		ds = train.Subset(perm[:s.cfg.SubsampleCap])
+	}
+	n, d := ds.NumExamples(), ds.NumFeatures()
+	rows := make([][]relational.Value, n)
+	y := make([]float64, n)
+	for i := range rows {
+		rows[i] = ds.RowInto(make([]relational.Value, d), i)
+		y[i] = -1
+		if ds.Label(i) == 1 {
+			y[i] = 1
+		}
+	}
+	if s.kernel, err = NewKernel(s.cfg.Kernel, s.cfg.Gamma, d); err != nil {
+		t.Fatal(err)
+	}
+	var kcache []float32
+	if n <= gramCacheCap {
+		kcache = make([]float32, n*n)
+		s.kernel.GramRows(kcache, rows)
+	}
+	s.optimize(r, rows, y, kcache)
+	return s
+}
+
 func TestColumnarMatchesRowPath(t *testing.T) {
 	// The columnar path (batched column scans + the morsel-parallel
 	// match-count cache build) must produce a bit-identical model to the
-	// historical row-pair path: identical pinned rows, identical kernel
-	// cache floats, so an identical SMO trajectory.
+	// historical row-pair path (rowFit): identical pinned rows, identical
+	// kernel cache floats, so an identical SMO trajectory — on dense and
+	// subset-view datasets and on the row, columnar and segmented engines.
 	r := rng.New(31)
 	base := &ml.Dataset{Features: feats(3, 4, 2)}
 	for i := 0; i < 500; i++ {
@@ -262,20 +303,14 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 	for i := range sub {
 		sub[i] = r.Intn(500)
 	}
-	for name, ds := range map[string]*ml.Dataset{"dense": base, "view": base.Subset(sub)} {
+	cases := mltest.Engines(t, base, 128)
+	cases["dense"], cases["view"] = base, base.Subset(sub)
+	for name, ds := range cases {
 		for _, kind := range []KernelKind{Linear, RBF} {
 			cfg := Config{Kernel: kind, C: 10, Gamma: 0.5, SubsampleCap: 200, Seed: 33}
-			rowCfg := cfg
-			rowCfg.RowAtATime = true
-			row, err := New(rowCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			row := rowFit(t, cfg, ds)
 			col, err := New(cfg)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := row.Fit(ds); err != nil {
 				t.Fatal(err)
 			}
 			if err := col.Fit(ds); err != nil {

@@ -9,11 +9,12 @@ import (
 )
 
 // TestZoneSkipMatchesFullSearch pins the zone-map feature skip: over a
-// segmented relation carrying constant columns, the batched split search
-// with the skip enabled (default) must fit a bit-identical tree to the
-// search with NoZoneSkip — a constant feature can never win a split, so
+// relation carrying constant columns, the batched split search must fit a
+// bit-identical tree to the row-at-a-time oracle, which tallies every
+// feature at every node — a constant feature can never win a split, so
 // proving it constant from statistics and never gathering it changes cost,
-// not output.
+// not output. Only the segmented engine keeps the statistics, so the row
+// and columnar cases pin the no-skip path on the same cells.
 func TestZoneSkipMatchesFullSearch(t *testing.T) {
 	r := rng.New(77)
 	keyDom := relational.NewDomain("RID", 60)
@@ -39,42 +40,32 @@ func TestZoneSkipMatchesFullSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := ml.FromRelation(st, []int{1, 2, 3, 4}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo, hi, ok := ds.FeatureRange(1); !ok || lo != 7 || hi != 7 {
-		t.Fatalf("const1 FeatureRange = [%d,%d] ok=%v, want constant 7", lo, hi, ok)
-	}
-
 	cfg := Config{Criterion: Gini, MinSplit: 20, CP: 1e-4}
-	skip := New(cfg)
-	if err := skip.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	cfg.NoZoneSkip = true
-	full := New(cfg)
-	if err := full.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	if sn, fn := len(skip.nodes), len(full.nodes); sn != fn {
-		t.Fatalf("node counts diverged: skip %d vs full %d", sn, fn)
-	}
-	for k := range skip.nodes {
-		snd, fnd := &skip.nodes[k], &full.nodes[k]
-		if snd.feature != fnd.feature || snd.leftChild != fnd.leftChild ||
-			snd.rightChild != fnd.rightChild || snd.prediction != fnd.prediction ||
-			snd.n != fnd.n || snd.nLeft != fnd.nLeft {
-			t.Fatalf("node %d diverged: %+v vs %+v", k, snd, fnd)
+	for name, rel := range map[string]relational.Relation{
+		"row": tab,
+		"col": relational.MaterializeColumnar(tab, "col"),
+		"seg": st,
+	} {
+		ds, err := ml.FromRelation(rel, []int{1, 2, 3, 4}, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The constant features (dataset positions 1 and 3) must split nowhere.
-	for f := range skip.FeatureUsage() {
-		if f == 1 || f == 3 {
-			t.Fatalf("constant feature %d used for a split", f)
+		if lo, hi, ok := ds.FeatureRange(1); name == "seg" && (!ok || lo != 7 || hi != 7) {
+			t.Fatalf("const1 FeatureRange = [%d,%d] ok=%v, want constant 7", lo, hi, ok)
 		}
-	}
-	if skip.NumLeaves() < 2 {
-		t.Fatal("tree learned nothing; the equivalence check is vacuous")
+		skip := New(cfg)
+		if err := skip.Fit(ds); err != nil {
+			t.Fatal(err)
+		}
+		requireSameTree(t, name, skip, rowFit(cfg, ds))
+		// The constant features (dataset positions 1 and 3) must split nowhere.
+		for f := range skip.FeatureUsage() {
+			if f == 1 || f == 3 {
+				t.Fatalf("%s: constant feature %d used for a split", name, f)
+			}
+		}
+		if skip.NumLeaves() < 2 {
+			t.Fatalf("%s: tree learned nothing; the equivalence check is vacuous", name)
+		}
 	}
 }
