@@ -26,8 +26,11 @@ BENCH_FLAGS = -run xxx -bench '$(BENCH_REGEX)' -benchtime 1s -count 5 -benchmem 
 
 check: lint test
 
+# The second line runs the Adam kernel's pure-Go fallback (non-amd64) the
+# way CI does: its tests under GOARCH=386, and vet of the arm64 build.
 test:
 	go build ./... && go test ./...
+	GOARCH=386 go test ./internal/mat ./internal/ann && GOARCH=arm64 go vet ./internal/mat ./internal/ann
 
 bench:
 	go test $(BENCH_FLAGS)

@@ -136,8 +136,9 @@ func (m *MLP) Name() string { return "ANN(MLP)" }
 // mat.GemmTA/GemvT with per-element mat.Dot for the ReLU-masked deltas. The
 // kernels keep every output element's accumulation sequential and in the
 // same order as the historical example-at-a-time loop (mat's bit-identity
-// contract), and applyAdam is that loop's update step, so the fitted
-// network is bit-identical to it (the tests keep it as an oracle).
+// contract), and applyAdam's packed Adam kernel is bit-identical to that
+// loop's scalar update, so the fitted network is bit-identical to it (the
+// tests keep it as an oracle).
 func (m *MLP) Fit(train *ml.Dataset) error {
 	if train.NumExamples() == 0 {
 		return fmt.Errorf("ann: empty training set")
@@ -404,42 +405,38 @@ func (m *MLP) fitBatched(train *ml.Dataset, r *rng.RNG) {
 }
 
 // applyAdam folds one mini-batch's accumulated gradients into the
-// parameters. Moved verbatim from the historical epoch loop; the tests'
-// oracle of that loop calls it too, so their update arithmetic is identical
-// by construction.
+// parameters: every block — the dense w2/b2/w3/b1 and each sparse w1 row, in
+// the historical loop's order — steps through the packed mat.AdamUpdate
+// kernel, bit-identical to the scalar update (the tests' oracle keeps its own
+// copy of that loop); the scalar output bias keeps its inline update. 1−β1
+// and 1−β2 are folded from the package constants (exactly 0.1 and 0.001), as
+// the historical loop folded them.
 func (m *MLP) applyAdam(gW2, gB2, gW3 []float64, gB3 float64, gB1 []float64, sparse []sparseGrad) {
 	h1 := m.cfg.Hidden1
 	m.step++
 	lr := m.cfg.LearningRate
 	c1 := 1 - math.Pow(beta1, float64(m.step))
 	c2 := 1 - math.Pow(beta2, float64(m.step))
-	update := func(w, g []float64, st adamState, l2 float64) {
-		for i := range w {
-			gi := g[i] + l2*w[i]
-			st.m[i] = beta1*st.m[i] + (1-beta1)*gi
-			st.v[i] = beta2*st.v[i] + (1-beta2)*gi*gi
-			w[i] -= lr * (st.m[i] / c1) / (math.Sqrt(st.v[i]/c2) + eps)
-		}
+	p := mat.AdamParams{
+		LR: lr, L2: m.cfg.L2, Eps: eps,
+		Beta1: beta1, Beta2: beta2,
+		OneMinusBeta1: 1 - beta1, OneMinusBeta2: 1 - beta2,
+		C1: c1, C2: c2,
 	}
-	update(m.w2, gW2, m.a2, m.cfg.L2)
-	update(m.b2, gB2, m.a2b, 0)
-	update(m.w3, gW3, m.a3, m.cfg.L2)
+	bias := p
+	bias.L2 = 0
+	mat.AdamUpdate(m.w2, gW2, m.a2.m, m.a2.v, &p)
+	mat.AdamUpdate(m.b2, gB2, m.a2b.m, m.a2b.v, &bias)
+	mat.AdamUpdate(m.w3, gW3, m.a3.m, m.a3.v, &p)
 	m.a3b.m[0] = beta1*m.a3b.m[0] + (1-beta1)*gB3
 	m.a3b.v[0] = beta2*m.a3b.v[0] + (1-beta2)*gB3*gB3
 	m.b3 -= lr * (m.a3b.m[0] / c1) / (math.Sqrt(m.a3b.v[0]/c2) + eps)
-	update(m.b1, gB1, m.a1b, 0)
-	// Sparse rows of w1.
+	mat.AdamUpdate(m.b1, gB1, m.a1b.m, m.a1b.v, &bias)
 	for _, sg := range sparse {
-		base := sg.row * h1
-		w := m.w1[base : base+h1]
-		mm := m.a1.m[base : base+h1]
-		vv := m.a1.v[base : base+h1]
-		for u := 0; u < h1; u++ {
-			gi := sg.grad[u] + m.cfg.L2*w[u]
-			mm[u] = beta1*mm[u] + (1-beta1)*gi
-			vv[u] = beta2*vv[u] + (1-beta2)*gi*gi
-			w[u] -= lr * (mm[u] / c1) / (math.Sqrt(vv[u]/c2) + eps)
-		}
+		row := m.w1[sg.row*h1 : (sg.row+1)*h1]
+		mm := m.a1.m[sg.row*h1 : (sg.row+1)*h1]
+		vv := m.a1.v[sg.row*h1 : (sg.row+1)*h1]
+		mat.AdamUpdate(row, sg.grad, mm, vv, &p)
 	}
 }
 
@@ -448,9 +445,9 @@ func (m *MLP) applyAdam(gW2, gB2, gW3 []float64, gB3 float64, gB1 []float64, spa
 // slab cell, then each slab (weights with L2, biases without) updates through
 // one mat.AdamStep pass over contiguous memory. AdamStep clears the gradient
 // slabs as it consumes them, so the next batch's accumulation starts from
-// zero. The element-wise arithmetic matches applyAdam's update closure; the
-// trajectory diverges only because the input layer is treated densely (see
-// Config.FusedAdam).
+// zero. AdamStep is the kernel applyAdam runs, with 1−β computed at run
+// time; the trajectory diverges because the input layer is treated densely
+// (see Config.FusedAdam).
 func (m *MLP) applyAdamFused(gB3 float64) {
 	s := m.slabs
 	s.gb[len(s.gb)-1] = gB3

@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ml"
@@ -167,7 +168,7 @@ func TestL2ShrinksWeights(t *testing.T) {
 // rowFit is the historical example-at-a-time Fit, kept as the oracle the
 // batched epoch loop is pinned against: the same initialization, then per
 // example of every mini-batch a scratch-row gather, an on-the-spot one-hot
-// encoding and scalar forward/backward loops feeding applyAdam.
+// encoding and scalar forward/backward loops feeding rowApplyAdam.
 func rowFit(cfg Config, train *ml.Dataset) *MLP {
 	m := New(cfg)
 	r := m.initParams(train)
@@ -303,10 +304,50 @@ func rowFit(cfg Config, train *ml.Dataset) *MLP {
 					sparse = append(sparse, sparseGrad{row: int(k), grad: g})
 				}
 			}
-			m.applyAdam(gW2, gB2, gW3, gB3, gB1, sparse)
+			rowApplyAdam(m, gW2, gB2, gW3, gB3, gB1, sparse)
 		}
 	}
 	return m
+}
+
+// rowApplyAdam is the historical scalar Adam step, kept verbatim for
+// rowFit so the oracle never shares update arithmetic with applyAdam: the
+// package constants fold (1-beta1) and (1-beta2) exactly, and every entry
+// of every block updates one element at a time in the original order.
+func rowApplyAdam(m *MLP, gW2, gB2, gW3 []float64, gB3 float64, gB1 []float64, sparse []sparseGrad) {
+	h1 := m.cfg.Hidden1
+	m.step++
+	lr := m.cfg.LearningRate
+	c1 := 1 - math.Pow(beta1, float64(m.step))
+	c2 := 1 - math.Pow(beta2, float64(m.step))
+	update := func(w, g []float64, st adamState, l2 float64) {
+		for i := range w {
+			gi := g[i] + l2*w[i]
+			st.m[i] = beta1*st.m[i] + (1-beta1)*gi
+			st.v[i] = beta2*st.v[i] + (1-beta2)*gi*gi
+			w[i] -= lr * (st.m[i] / c1) / (math.Sqrt(st.v[i]/c2) + eps)
+		}
+	}
+	update(m.w2, gW2, m.a2, m.cfg.L2)
+	update(m.b2, gB2, m.a2b, 0)
+	update(m.w3, gW3, m.a3, m.cfg.L2)
+	m.a3b.m[0] = beta1*m.a3b.m[0] + (1-beta1)*gB3
+	m.a3b.v[0] = beta2*m.a3b.v[0] + (1-beta2)*gB3*gB3
+	m.b3 -= lr * (m.a3b.m[0] / c1) / (math.Sqrt(m.a3b.v[0]/c2) + eps)
+	update(m.b1, gB1, m.a1b, 0)
+	// Sparse rows of w1.
+	for _, sg := range sparse {
+		base := sg.row * h1
+		w := m.w1[base : base+h1]
+		mm := m.a1.m[base : base+h1]
+		vv := m.a1.v[base : base+h1]
+		for u := 0; u < h1; u++ {
+			gi := sg.grad[u] + m.cfg.L2*w[u]
+			mm[u] = beta1*mm[u] + (1-beta1)*gi
+			vv[u] = beta2*vv[u] + (1-beta2)*gi*gi
+			w[u] -= lr * (mm[u] / c1) / (math.Sqrt(vv[u]/c2) + eps)
+		}
+	}
 }
 
 func TestColumnarMatchesRowPath(t *testing.T) {

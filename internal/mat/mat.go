@@ -17,6 +17,16 @@
 // every kernel bit-identical to its naive triple-loop reference across
 // shapes and strides.
 //
+// The Adam kernel (AdamUpdate, AdamStep) is element-wise: each element reads
+// and writes only its own index, so the amd64 SSE2 loop may run two elements
+// per instruction — each lane performs the scalar loop's IEEE-754 operations
+// in the same order, and SSE2 has no fused multiply-add, so every product
+// rounds as the scalar statement's does. The one exact shortcut is skipping
+// m/c1 when c1 == 1 (x/1 == x). Coefficients are not re-derived inside the
+// kernel: `1 - beta1` over Go constants folds exactly to 0.1, while over
+// float64 variables it rounds to 0.09999999999999998, so AdamParams takes
+// 1−β1 and 1−β2 as the caller's scalar loop computed them.
+//
 // All matrices are row-major with an explicit leading dimension (the stride
 // between consecutive rows), so callers can address sub-blocks of a larger
 // allocation without copying.

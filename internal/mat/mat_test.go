@@ -280,6 +280,10 @@ func checkKernels(t *testing.T, seed uint64, m, n, k, lda, ldb, ldc int) {
 			t.Fatalf("MatchCountsU16: element %d diverged: got %d want %d", i, pc0[i], pc1[i])
 		}
 	}
+
+	// The Adam kernel over an m·n block at the A stride's slack offset,
+	// alternating folded and run-time 1−β and reaching the c1 == 1 steps.
+	checkAdam(t, r, m*n, lda-k, adamCoeffs(seed%2 == 0, 1+int(seed%512)))
 }
 
 func TestPackU16RowsRejectsWideCodes(t *testing.T) {
@@ -312,9 +316,10 @@ func TestKernelsMatchNaive(t *testing.T) {
 	}
 }
 
-// FuzzMatEquivalence fuzzes every mat kernel against its naive triple-loop
-// reference, pinning bit-identical outputs across random shapes, strides,
-// and value mixes — the CI fuzz smoke runs it alongside the codec fuzzers.
+// FuzzMatEquivalence fuzzes every mat kernel against its naive reference
+// (triple loops, the scalar Adam loop), pinning bit-identical outputs across
+// random shapes, strides, and value mixes — the CI fuzz smoke runs it
+// alongside the codec fuzzers.
 func FuzzMatEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(3), uint8(4), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(7), uint8(1), uint8(1), uint8(1), uint8(5), uint8(5), uint8(5))
