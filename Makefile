@@ -87,6 +87,5 @@ lint:
 fuzz-smoke:
 	go test ./internal/model -run xxx -fuzz 'FuzzCodecRoundTrip$$' -fuzztime 20s
 	go test ./internal/model -run xxx -fuzz 'FuzzDecodeGarbage$$' -fuzztime 20s
-	go test ./internal/relational -run xxx -fuzz 'FuzzColumnarEquivalence$$' -fuzztime 20s
 	go test ./internal/relational -run xxx -fuzz 'FuzzSegmentedEquivalence$$' -fuzztime 20s
 	go test ./internal/mat -run xxx -fuzz 'FuzzMatEquivalence$$' -fuzztime 20s

@@ -410,12 +410,14 @@ func benchNBFit(b *testing.B, engine core.Engine) {
 }
 
 // BenchmarkNBFitColumnar is the counting path on the default engine: label
-// scan + per-feature column scans over width-narrowed columnar storage.
+// scan + per-feature column scans over width-narrowed columnar storage held
+// in one segment.
 func BenchmarkNBFitColumnar(b *testing.B) { benchNBFit(b, core.EngineColumnar) }
 
 // BenchmarkNBFitSegmented re-runs the columnar fit on EngineSegmented: the
-// same morsel fan-out, but spans aligned to segment boundaries and reads
-// routed per segment. Paired against the single-slab Columnar bench at
+// same table type and morsel fan-out, but cut into many segments, so spans
+// align to segment boundaries and reads route per segment. Paired against
+// the one-segment Columnar bench at
 // parity (the gate requires segmented >= 0.95x slab, not a speedup):
 // segmentation buys spill capability and skip statistics, and this pair
 // proves it does not tax the hot loops. It sits directly after its pair
@@ -1017,7 +1019,8 @@ func BenchmarkTreeSplitZoneSkip(b *testing.B) {
 
 // benchSegParScan pins the segment-per-morsel fan-out against the
 // single-slab sequential scan it replaces: both sides fold the same column
-// of the same cells into the same sum, the slab in one sequential pass, the
+// of the same cells into the same sum, the slab (the same SegmentedTable
+// type holding every row in one segment) in one sequential pass, the
 // segmented table as one ml.ParallelFor task per segment with the partial
 // sums reduced in ascending segment order — the deterministic-reduction
 // discipline every segmented training path follows, so the result is
@@ -1041,7 +1044,10 @@ func benchSegParScan(b *testing.B, parallel bool) {
 			block = block[:0]
 		}
 	}
-	ct := relational.MaterializeColumnar(st, "slab")
+	ct, err := relational.MaterializeSegmented(st, "slab", relational.SegmentOptions{SegmentSize: 2 * n})
+	if err != nil {
+		b.Fatal(err)
+	}
 	want := int64(0)
 	buf := make([]relational.Value, segSize)
 	for from := 0; from < n; {
@@ -1093,7 +1099,7 @@ func benchSegParScan(b *testing.B, parallel bool) {
 	}
 }
 
-// BenchmarkSegParScanSlab scans the monolithic columnar slab sequentially.
+// BenchmarkSegParScanSlab scans the one-segment slab sequentially.
 func BenchmarkSegParScanSlab(b *testing.B) { benchSegParScan(b, false) }
 
 // BenchmarkSegParScanSeg fans one scan task per segment and reduces the

@@ -47,9 +47,9 @@ const defaultGate = `^Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegF
 // compute-kernel bar: the blocked Gram build must beat the per-pair scalar
 // one. The second is the zone-map bar: skipping provably-irrelevant
 // segments must beat the full scan. The third is the segmented-engine
-// parity bar at @0.95: segment routing must not tax the hot training loops
-// vs the monolithic slab (within noise on one core; the SegParScan pair
-// scales with cores). The fourth is the coalescing bar at 64 clients. The
+// parity bar at @0.95: many-segment routing must not tax the hot training
+// loops vs a one-segment layout of the same table type (within noise on one
+// core; the SegParScan pair scales with cores). The fourth is the coalescing bar at 64 clients. The
 // last two are the approximate-training-tier bars — the error-cache SMO and
 // fused-Adam kernels must each beat their bit-exact Columnar reference;
 // each is its own group so neither win can carry the other (both paths are

@@ -19,7 +19,8 @@
 //
 // The segmented engine (-engine seg) materializes the join into fixed-size
 // columnar segments; -segsize tunes the partition and -spilldir/-cachebytes
-// enable the out-of-core tier (segments on disk, LRU cache in memory). Two
+// enable the out-of-core tier (segments on disk, LRU cache in memory). These
+// flags, and -faults, are errors with any other engine. Two
 // artifacts can be compared ignoring provenance metadata — the CI proof that
 // an out-of-core run trains bit-identically to an in-memory one:
 //
@@ -131,6 +132,13 @@ func run(args []string) error {
 		return err
 	}
 	o.Engine = eng
+	if eng != core.EngineSegmented {
+		for _, name := range []string{"segsize", "spilldir", "cachebytes", "faults"} {
+			if explicit[name] {
+				return fmt.Errorf("-%s applies only to -engine seg (got -engine %s)", name, eng)
+			}
+		}
+	}
 	core.SegmentDefaults = relational.SegmentOptions{
 		SegmentSize: *segSize,
 		SpillDir:    *spillDir,
@@ -366,7 +374,7 @@ func runTrain(modelPath, datasetName, specName string, o experiments.Options) er
 		return err
 	}
 	defer env.Close()
-	if st, ok := env.Joined.(*relational.SegmentedTable); ok {
+	if st, ok := env.Joined.(*relational.SegmentedTable); ok && o.Engine == core.EngineSegmented {
 		fmt.Fprintf(o.Out, "segmented join view: %d segments, spilled=%v\n", st.NumSegments(), st.Spilled())
 	}
 	m, res, err := core.BuildArtifact(env, spec, o.Seed, map[string]string{

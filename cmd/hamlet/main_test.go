@@ -19,6 +19,11 @@ func TestRunRejectsBadArguments(t *testing.T) {
 		{"-train", "-model", "x", "-dataset", "Nowhere"},
 		{"-train", "-model", "x", "-dataset", "Movies", "-spec", "NotAModel"},
 		{"-eval"}, // -eval without -model
+		// segmented-engine flags with another engine
+		{"-train", "-model", "x", "-dataset", "Movies", "-spilldir", "d"},
+		{"-table", "2", "-engine", "row", "-segsize", "64"},
+		{"-table", "2", "-engine", "col", "-cachebytes", "8192"},
+		{"-table", "2", "-faults", "read:eio:nth=1"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/fault"
@@ -127,7 +128,9 @@ type Engine int
 
 const (
 	// EngineColumnar (the default) evaluates the join once into a
-	// width-narrowed struct-of-arrays ColumnarTable. It trades one
+	// relational.SegmentedTable whose single segment is larger than the
+	// join, so the whole join is one width-narrowed slab per column: nothing
+	// is sealed, there are no zone maps and no pager. It trades one
 	// O(n_S · width) materialization pass (into storage that is typically
 	// *smaller* than the fact table's row-major block, since dictionary
 	// codes narrow to uint8/uint16) for sequential single-column scans on
@@ -139,9 +142,9 @@ const (
 	// choice when data is scanned only a bounded number of times and the
 	// one-time columnar materialization would dominate.
 	EngineRow
-	// EngineSegmented evaluates the join into a relational.SegmentedTable:
-	// the same width-narrowed columnar storage as EngineColumnar, partitioned
-	// into fixed-size immutable segments with per-segment zone maps. Training
+	// EngineSegmented evaluates the join into the same table type as
+	// EngineColumnar, configured by SegmentDefaults: partitioned into
+	// fixed-size immutable segments with per-segment zone maps. Training
 	// morsels fan out segment-per-task, selective scans skip segments their
 	// zone maps prove irrelevant, and — with SegmentDefaults.SpillDir set —
 	// sealed segments spill to a heap file under an LRU cache budget so fact
@@ -185,14 +188,14 @@ var SegmentDefaults relational.SegmentOptions
 
 // Env is a dataset prepared for experiments: the (factorized) join of a
 // star schema and the paper's fixed 50/25/25 train/validation/test split of
-// it. Since the columnar flip Joined is a relational.ColumnarTable by
-// default — the factorized join is evaluated once into width-narrowed
-// struct-of-arrays storage; the split parts are index views over it and
-// every batched ScanFeature a learner issues bottoms out in a sequential
-// scan of one narrow column. EngineRow keeps the zero-copy JoinView pipeline
-// (the joined table never exists physically, FK indirection resolves per
-// access) and EngineSegmented the chunked, optionally spilled one (see
-// NewEnvEngine). All yield bit-identical results.
+// it. By default Joined is a single-segment relational.SegmentedTable — the
+// factorized join is evaluated once into width-narrowed struct-of-arrays
+// storage; the split parts are index views over it and every batched
+// ScanFeature a learner issues bottoms out in a sequential scan of one
+// narrow column. EngineRow keeps the zero-copy JoinView pipeline (the joined
+// table never exists physically, FK indirection resolves per access) and
+// EngineSegmented the chunked, optionally spilled one (see NewEnvEngine).
+// All yield bit-identical results.
 type Env struct {
 	Star      *relational.StarSchema
 	Joined    relational.Relation
@@ -219,9 +222,9 @@ func NewEnv(ss *relational.StarSchema, seed uint64) (*Env, error) {
 //   - EngineRow keeps it as the zero-copy pipeline: the lazy split views sit
 //     directly on the relational.JoinView, so no joined storage of any
 //     layout is ever materialized;
-//   - EngineColumnar evaluates it once into a relational.ColumnarTable, so
-//     every ScanFeature a learner issues bottoms out in a sequential scan of
-//     one narrow column vector;
+//   - EngineColumnar evaluates it once into a relational.SegmentedTable with
+//     one segment larger than the join, so every ScanFeature a learner
+//     issues bottoms out in a sequential scan of one narrow column vector;
 //   - EngineSegmented evaluates it once, segment-chunk-at-a-time, into a
 //     relational.SegmentedTable configured by SegmentDefaults. With a spill
 //     directory the joined relation lives mostly on disk; the caller owns
@@ -233,25 +236,28 @@ func NewEnvEngine(ss *relational.StarSchema, seed uint64, engine Engine) (*Env, 
 	if err != nil {
 		return nil, err
 	}
+	var opts relational.SegmentOptions
 	switch engine {
 	case EngineRow:
 		return newEnvOver(ss, jv, seed)
 	case EngineSegmented:
-		joined, err := relational.MaterializeSegmented(jv, ss.Fact.Name+"_joined", SegmentDefaults)
-		if err != nil {
-			return nil, err
-		}
-		env, err := newEnvOver(ss, joined, seed)
-		if err != nil {
-			joined.Close()
-			return nil, err
-		}
-		env.spillDir = SegmentDefaults.SpillDir
-		env.fs = SegmentDefaults.FS
-		return env, nil
+		opts = SegmentDefaults
 	default:
-		return newEnvOver(ss, relational.MaterializeColumnar(jv, ss.Fact.Name+"_joined"), seed)
+		// The smallest power of two above the row count: the open tail
+		// never fills, and row lookups keep their shift/mask path.
+		opts.SegmentSize = 1 << bits.Len(uint(jv.NumRows()))
 	}
+	joined, err := relational.MaterializeSegmented(jv, ss.Fact.Name+"_joined", opts)
+	if err != nil {
+		return nil, err
+	}
+	env, err := newEnvOver(ss, joined, seed)
+	if err != nil {
+		joined.Close()
+		return nil, err
+	}
+	env.spillDir, env.fs = opts.SpillDir, opts.FS
+	return env, nil
 }
 
 // newEnvOver splits any joined relation. The seeded permutation depends only

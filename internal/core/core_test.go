@@ -486,9 +486,7 @@ func TestColumnarEngineMatchesRowEngine(t *testing.T) {
 	if _, ok := row.Joined.(*relational.JoinView); !ok {
 		t.Fatalf("row env joined is %T, want *relational.JoinView", row.Joined)
 	}
-	if _, ok := col.Joined.(*relational.ColumnarTable); !ok {
-		t.Fatalf("columnar env joined is %T, want *relational.ColumnarTable", col.Joined)
-	}
+	requireSingleSegment(t, "columnar env", col.Joined)
 	for _, mspec := range []Spec{TreeSpec(tree.Gini, EffortFast), NaiveBayesBFSSpec()} {
 		for _, v := range []ml.View{ml.JoinAll, ml.NoJoin} {
 			rres, err := Run(row, v, mspec, 11)
@@ -533,9 +531,9 @@ func TestParseEngine(t *testing.T) {
 }
 
 func TestColumnarIsDefaultEngine(t *testing.T) {
-	// The default flip: the Engine zero value, NewEnv, and NewEnvEngine's
-	// fallback must all select columnar storage; EngineRow keeps the
-	// zero-copy join view.
+	// The default flip: the Engine zero value and NewEnv must select
+	// columnar storage, one unsealed segment with no pager; EngineRow keeps
+	// the zero-copy join view.
 	if Engine(0) != EngineColumnar {
 		t.Fatal("Engine zero value must be EngineColumnar")
 	}
@@ -551,15 +549,32 @@ func TestColumnarIsDefaultEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := env.Joined.(*relational.ColumnarTable); !ok {
-		t.Fatalf("NewEnv joined is %T, want *relational.ColumnarTable", env.Joined)
-	}
+	requireSingleSegment(t, "NewEnv", env.Joined)
 	rowEnv, err := NewEnvEngine(ss, 7, EngineRow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := rowEnv.Joined.(*relational.JoinView); !ok {
 		t.Fatalf("EngineRow joined is %T, want *relational.JoinView", rowEnv.Joined)
+	}
+}
+
+// requireSingleSegment asserts the default columnar layout: a
+// SegmentedTable whose rows all sit in one unsealed, in-memory segment, so
+// no column has a sealed zone map.
+func requireSingleSegment(t *testing.T, what string, joined relational.Relation) {
+	t.Helper()
+	st, ok := joined.(*relational.SegmentedTable)
+	if !ok {
+		t.Fatalf("%s joined is %T, want *relational.SegmentedTable", what, joined)
+	}
+	if st.NumSegments() != 1 || st.Spilled() {
+		t.Fatalf("%s: %d segments, spilled=%v; want one in-memory segment", what, st.NumSegments(), st.Spilled())
+	}
+	for j := 0; j < st.Schema().Width(); j++ {
+		if _, ok := st.SegmentZone(0, j); ok {
+			t.Fatalf("%s: column %d has a sealed zone map; the segment must stay open", what, j)
+		}
 	}
 }
 

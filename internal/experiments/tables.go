@@ -36,7 +36,9 @@ type Options struct {
 	Seed uint64
 	// Engine selects the physical storage the experiment Envs read through
 	// (core.EngineColumnar, the default since every learner trains
-	// column-at-a-time, or core.EngineRow for the zero-copy join view).
+	// column-at-a-time: a single-segment relational.SegmentedTable;
+	// core.EngineSegmented, the same table cut into zone-mapped segments;
+	// or core.EngineRow for the zero-copy join view).
 	// Results are engine-independent; runtime and memory layout are not.
 	Engine core.Engine
 	// Out receives the rendered tables (default discards).

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/relational"
@@ -33,7 +34,10 @@ func batchBackings(t *testing.T) map[string]*Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := relational.MaterializeColumnar(jv, "ct")
+	ct, err := relational.MaterializeSegmented(jv, "ct", relational.SegmentOptions{SegmentSize: 1 << bits.Len(uint(jv.NumRows()))})
+	if err != nil {
+		t.Fatal(err)
+	}
 	overColumnar, err := FromRelation(ct, cols, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package mltest
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"repro/internal/ml"
@@ -11,8 +12,9 @@ import (
 
 // Engines copies ds into one relation per storage engine and returns the
 // dataset read back through each: "row" (a row-major relational.Table),
-// "col" (a relational.ColumnarTable) and "seg" (a relational.SegmentedTable
-// cut into segments of segSize rows, so scans cross segment boundaries).
+// "col" (a relational.SegmentedTable whose one segment holds every row, the
+// default engine's layout) and "seg" (a relational.SegmentedTable cut into
+// segments of segSize rows, so scans cross segment boundaries).
 // Every copy carries ds's cells, labels, cardinalities and FK flags, so a
 // learner must fit bit-identically on all of them and on ds itself.
 func Engines(tb testing.TB, ds *ml.Dataset, segSize int) map[string]*ml.Dataset {
@@ -41,6 +43,10 @@ func Engines(tb testing.TB, ds *ml.Dataset, segSize int) map[string]*ml.Dataset 
 		ds.RowInto(row[1:], i)
 		tab.MustAppendRow(row)
 	}
+	slab, err := relational.MaterializeSegmented(tab, "cols", relational.SegmentOptions{SegmentSize: 1 << bits.Len(uint(n))})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	seg, err := relational.MaterializeSegmented(tab, "segs", relational.SegmentOptions{SegmentSize: segSize})
 	if err != nil {
 		tb.Fatal(err)
@@ -48,7 +54,7 @@ func Engines(tb testing.TB, ds *ml.Dataset, segSize int) map[string]*ml.Dataset 
 	out := make(map[string]*ml.Dataset, 3)
 	for name, rel := range map[string]relational.Relation{
 		"row": tab,
-		"col": relational.MaterializeColumnar(tab, "cols"),
+		"col": slab,
 		"seg": seg,
 	} {
 		d, err := ml.FromRelation(rel, featCols, 0)

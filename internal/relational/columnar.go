@@ -1,7 +1,5 @@
 package relational
 
-import "fmt"
-
 // ColumnScanner is the optional batch read interface alongside Relation:
 // implementations expose column-at-a-time access so learners can train on
 // cache-resident vectors of one feature instead of assembling rows. The
@@ -53,7 +51,7 @@ func scanLen(numRows, from, dstLen int) int {
 	return m
 }
 
-// colData is one column of a ColumnarTable: dictionary codes stored at the
+// colData is one column of a segment: dictionary codes stored at the
 // narrowest width the column's domain fits (exactly one slice is non-nil).
 // Narrowing matters twice: a u8 column holds 4x more values per cache line
 // than []Value, and the full scan a learner pays per feature becomes a
@@ -155,7 +153,7 @@ func (c *colData) gather(dst []Value, rows []int) {
 }
 
 // gatherVia widens rows idx[rows[k]] into dst — the double-remap path a
-// SelectView stacked on a columnar table uses.
+// SelectView stacked on a single-segment table uses.
 func (c *colData) gatherVia(dst []Value, idx []int, rows []int) {
 	switch {
 	case c.u8 != nil:
@@ -171,173 +169,4 @@ func (c *colData) gatherVia(dst []Value, idx []int, rows []int) {
 			dst[k] = c.u32[idx[r]]
 		}
 	}
-}
-
-// ColumnarTable is the struct-of-arrays physical relation: one contiguous,
-// width-narrowed vector per column. It is the second storage engine next to
-// the row-major *Table — same schema/domain rules, same Relation surface,
-// bit-identical cell values — chosen when the workload is column scans
-// (batched learner training) rather than row assembly. Construct empty with
-// NewColumnarTable and fill with AppendRow(s), or evaluate any relation into
-// one with MaterializeColumnar.
-type ColumnarTable struct {
-	Name   string
-	schema *Schema
-	n      int
-	cols   []colData
-}
-
-// NewColumnarTable creates an empty columnar table with capacity hint rows.
-func NewColumnarTable(name string, schema *Schema, capHint int) *ColumnarTable {
-	t := &ColumnarTable{Name: name, schema: schema, cols: make([]colData, schema.Width())}
-	for j := range t.cols {
-		t.cols[j] = newColData(schema.Cols[j].Domain.Size, capHint)
-	}
-	return t
-}
-
-// Schema implements Relation.
-func (t *ColumnarTable) Schema() *Schema { return t.schema }
-
-// NumRows implements Relation.
-func (t *ColumnarTable) NumRows() int { return t.n }
-
-// At implements Relation.
-func (t *ColumnarTable) At(row, col int) Value { return t.cols[col].at(row) }
-
-// CopyRow implements Relation. Row assembly is the columnar layout's slow
-// direction (one strided read per column); consumers that can should use
-// ScanColumn instead.
-func (t *ColumnarTable) CopyRow(dst []Value, row int) []Value {
-	dst = dst[:len(t.cols)]
-	for j := range t.cols {
-		dst[j] = t.cols[j].at(row)
-	}
-	return dst
-}
-
-// ScanColumn implements ColumnScanner: a sequential widening copy out of the
-// column's narrow storage.
-func (t *ColumnarTable) ScanColumn(col int, from int, dst []Value) int {
-	m := scanLen(t.n, from, len(dst))
-	if m == 0 {
-		return 0
-	}
-	t.cols[col].scan(from, dst[:m])
-	return m
-}
-
-// GatherColumn implements ColumnGatherer.
-func (t *ColumnarTable) GatherColumn(dst []Value, col int, rows []int) {
-	t.cols[col].gather(dst[:len(rows)], rows)
-}
-
-// GatherColumnVia implements ColumnViaGatherer — the fused double-remap
-// gather a SelectView stacked on this table uses.
-func (t *ColumnarTable) GatherColumnVia(dst []Value, col int, idx []int, rows []int) {
-	t.cols[col].gatherVia(dst[:len(rows)], idx, rows)
-}
-
-// Reserve grows every column's capacity to hold n more rows without
-// reallocation.
-func (t *ColumnarTable) Reserve(n int) {
-	for j := range t.cols {
-		t.cols[j].reserve(n)
-	}
-}
-
-// AppendRow appends one row after validating width and domain membership.
-func (t *ColumnarTable) AppendRow(row []Value) error {
-	if len(row) != len(t.cols) {
-		return fmt.Errorf("relational: columnar table %q expects %d columns, row has %d", t.Name, len(t.cols), len(row))
-	}
-	for j, v := range row {
-		if !t.schema.Cols[j].Domain.Contains(v) {
-			return fmt.Errorf("relational: columnar table %q column %q: value %d outside domain of size %d",
-				t.Name, t.schema.Cols[j].Name, v, t.schema.Cols[j].Domain.Size)
-		}
-	}
-	for j, v := range row {
-		t.cols[j].append(v)
-	}
-	t.n++
-	return nil
-}
-
-// MustAppendRow is AppendRow for generator code where rows are correct by
-// construction.
-func (t *ColumnarTable) MustAppendRow(row []Value) {
-	if err := t.AppendRow(row); err != nil {
-		panic(err)
-	}
-}
-
-// AppendRows bulk-appends a row-major block (len(block) must be a multiple
-// of the width), sharing the per-column strided validation with
-// Table.AppendRows. On error nothing is appended.
-func (t *ColumnarTable) AppendRows(block []Value) error {
-	nRows, err := validateBlock(t.schema, t.Name, block)
-	if err != nil {
-		return err
-	}
-	w := len(t.cols)
-	t.Reserve(nRows)
-	for j := 0; j < w; j++ {
-		c := &t.cols[j]
-		for k, at := 0, j; k < nRows; k, at = k+1, at+w {
-			c.append(block[at])
-		}
-	}
-	t.n += nRows
-	return nil
-}
-
-// MustAppendRows is AppendRows for generator code.
-func (t *ColumnarTable) MustAppendRows(block []Value) {
-	if err := t.AppendRows(block); err != nil {
-		panic(err)
-	}
-}
-
-// MaterializeColumnar evaluates any relation into a ColumnarTable — the
-// columnar sibling of Materialize. Like Materialize the result is an
-// independent snapshot. Sources that implement ColumnScanner are drained
-// column-at-a-time (sequential reads on both sides); anything else is read
-// row by row through CopyRow. Cell values outside their column's domain
-// indicate a corrupted source relation and panic, mirroring the invariant
-// AppendRow enforces on the write path.
-func MaterializeColumnar(r Relation, name string) *ColumnarTable {
-	schema := r.Schema()
-	n := r.NumRows()
-	out := NewColumnarTable(name, schema, n)
-	w := schema.Width()
-	if w == 0 || n == 0 {
-		return out
-	}
-	buf := make([]Value, min(n, 4096)*w)
-	if cs, ok := r.(ColumnScanner); ok {
-		chunk := len(buf) / w
-		for j := 0; j < w; j++ {
-			size := Value(schema.Cols[j].Domain.Size)
-			c := &out.cols[j]
-			for from := 0; from < n; from += chunk {
-				m := cs.ScanColumn(j, from, buf[:min(chunk, n-from)])
-				for _, v := range buf[:m] {
-					if v < 0 || v >= size {
-						panic(fmt.Sprintf("relational: materialize columnar %q column %q: value %d outside domain of size %d",
-							name, schema.Cols[j].Name, v, size))
-					}
-					c.append(v)
-				}
-			}
-		}
-		out.n = n
-		return out
-	}
-	row := buf[:w]
-	for i := 0; i < n; i++ {
-		r.CopyRow(row, i)
-		out.MustAppendRow(row)
-	}
-	return out
 }

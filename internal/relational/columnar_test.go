@@ -103,24 +103,8 @@ func requireSameRelation(t *testing.T, want, got Relation) {
 	}
 }
 
-// TestColumnarTableMatchesTable is the storage-engine equivalence property:
-// a ColumnarTable filled with the same rows as a row-major Table is
-// bit-identical under every read API, across all three column widths.
-func TestColumnarTableMatchesTable(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 99} {
-		tab := randomWideTable(t, 257, seed)
-		ct := NewColumnarTable("wide_col", tab.Schema(), 0)
-		row := make([]Value, tab.Schema().Width())
-		for i := 0; i < tab.NumRows(); i++ {
-			tab.CopyRow(row, i)
-			if err := ct.AppendRow(row); err != nil {
-				t.Fatal(err)
-			}
-		}
-		requireSameRelation(t, tab, ct)
-	}
-}
-
+// TestColumnarAppendRowsMatchesAppendRow checks the bulk append path of
+// both engines, the columnar one with every row in its open tail.
 func TestColumnarAppendRowsMatchesAppendRow(t *testing.T) {
 	tab := randomWideTable(t, 100, 3)
 	w := tab.Schema().Width()
@@ -129,11 +113,17 @@ func TestColumnarAppendRowsMatchesAppendRow(t *testing.T) {
 	for i := 0; i < tab.NumRows(); i++ {
 		block = append(block, tab.CopyRow(row, i)...)
 	}
-	ct := NewColumnarTable("bulk", tab.Schema(), tab.NumRows())
+	ct, err := NewSegmentedTable("bulk", tab.Schema(), SegmentOptions{SegmentSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ct.AppendRows(block); err != nil {
 		t.Fatal(err)
 	}
 	requireSameRelation(t, tab, ct)
+	if ct.NumSegments() != 1 || ct.ResidentBytes() != 0 {
+		t.Fatalf("%d segments, %d sealed bytes; want every row in the open tail", ct.NumSegments(), ct.ResidentBytes())
+	}
 
 	rt := NewTable("bulk_row", tab.Schema(), tab.NumRows())
 	if err := rt.AppendRows(block); err != nil {
@@ -163,12 +153,17 @@ func TestAppendRowsRejectsBadInput(t *testing.T) {
 		if rt.NumRows() != 0 {
 			t.Fatalf("%s: failed append must not add rows", tt.name)
 		}
-		ct := NewColumnarTable("t", schema, 1)
-		if err := ct.AppendRows(tt.block); err == nil || !strings.Contains(err.Error(), tt.want) {
-			t.Fatalf("%s: ColumnarTable.AppendRows err = %v, want %q", tt.name, err, tt.want)
-		}
-		if ct.NumRows() != 0 {
-			t.Fatalf("%s: failed append must not add rows", tt.name)
+		for _, segSize := range []int{1, 4, 64} {
+			st, err := NewSegmentedTable("t", schema, SegmentOptions{SegmentSize: segSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.AppendRows(tt.block); err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Fatalf("%s: SegmentedTable(%d).AppendRows err = %v, want %q", tt.name, segSize, err, tt.want)
+			}
+			if st.NumRows() != 0 || st.NumSegments() != 0 {
+				t.Fatalf("%s: failed append must not add rows", tt.name)
+			}
 		}
 	}
 }
@@ -176,7 +171,8 @@ func TestAppendRowsRejectsBadInput(t *testing.T) {
 // TestViewStackScanColumn pins the tentpole contract: ScanColumn through the
 // whole view stack — JoinView (FK gather), SelectView (row remap),
 // ProjectView (column remap), stacked combinations — agrees with At on the
-// same relation, for both physical engines underneath the split views.
+// same relation, for both physical engines underneath the split views (the
+// columnar one as a single segment).
 func TestViewStackScanColumn(t *testing.T) {
 	ss := testStar(t, 300, 17, 29, 11)
 	jv, err := NewJoinView(ss)
@@ -196,7 +192,10 @@ func TestViewStackScanColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := MaterializeColumnar(jv, "cols")
+	cols, err := MaterializeSegmented(jv, "cols", SegmentOptions{SegmentSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
 	selCol, err := NewSelectView(cols, idx)
 	if err != nil {
 		t.Fatal(err)
@@ -227,37 +226,6 @@ func TestViewStackScanColumn(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestMaterializeColumnarMatchesMaterialize checks the two Materialize
-// variants agree on a lazy join, and that the row-at-a-time fallback path
-// (source without ScanColumn) agrees too.
-func TestMaterializeColumnarMatchesMaterialize(t *testing.T) {
-	ss := testStar(t, 200, 13, 7, 21)
-	jv, err := NewJoinView(ss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowT := Materialize(jv, "rows")
-	colT := MaterializeColumnar(jv, "cols")
-	requireSameRelation(t, rowT, colT)
-
-	// Strip the scanner interface to force the CopyRow fallback.
-	colT2 := MaterializeColumnar(noScan{jv}, "cols2")
-	requireSameRelation(t, rowT, colT2)
-}
-
-// TestMaterializeColumnarEmpty pins the empty-relation edge on both the
-// scanner and the CopyRow-fallback paths.
-func TestMaterializeColumnarEmpty(t *testing.T) {
-	schema := MustSchema(Column{Name: "x", Kind: KindFeature, Domain: NewDomain("x", 4)})
-	empty := NewTable("empty", schema, 0)
-	if got := MaterializeColumnar(empty, "e1").NumRows(); got != 0 {
-		t.Fatalf("scanner path: %d rows, want 0", got)
-	}
-	if got := MaterializeColumnar(noScan{empty}, "e2").NumRows(); got != 0 {
-		t.Fatalf("fallback path: %d rows, want 0", got)
 	}
 }
 
@@ -297,60 +265,4 @@ func TestSelectViewScanFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameRelation(t, pFast, pSlow)
-}
-
-// FuzzColumnarEquivalence feeds arbitrary row bytes into both storage
-// engines and requires every accepted row set to read back identically.
-func FuzzColumnarEquivalence(f *testing.F) {
-	schema := MustSchema(
-		Column{Name: "Y", Kind: KindTarget, Domain: NewDomain("Y", 2)},
-		Column{Name: "a", Kind: KindFeature, Domain: NewDomain("a", 300)},
-		Column{Name: "b", Kind: KindFeature, Domain: NewDomain("b", 5)},
-	)
-	f.Add([]byte{0, 1, 2, 1, 0, 4})
-	f.Add([]byte{1, 255, 0})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		w := schema.Width()
-		n := len(raw) / w
-		rt := NewTable("rt", schema, n)
-		ct := NewColumnarTable("ct", schema, n)
-		row := make([]Value, w)
-		for i := 0; i < n; i++ {
-			for j := 0; j < w; j++ {
-				row[j] = Value(raw[i*w+j])
-			}
-			errR := rt.AppendRow(row)
-			errC := ct.AppendRow(row)
-			if (errR == nil) != (errC == nil) {
-				t.Fatalf("engines disagree on row %v: row-major err %v, columnar err %v", row, errR, errC)
-			}
-		}
-		if rt.NumRows() != ct.NumRows() {
-			t.Fatalf("row counts diverged: %d vs %d", rt.NumRows(), ct.NumRows())
-		}
-		for i := 0; i < rt.NumRows(); i++ {
-			for j := 0; j < w; j++ {
-				if rt.At(i, j) != ct.At(i, j) {
-					t.Fatalf("At(%d,%d) diverged", i, j)
-				}
-			}
-		}
-		bufR := make([]Value, 3)
-		bufC := make([]Value, 3)
-		for j := 0; j < w; j++ {
-			for from := 0; from <= rt.NumRows(); from += 2 {
-				mR := rt.ScanColumn(j, from, bufR)
-				mC := ct.ScanColumn(j, from, bufC)
-				if mR != mC {
-					t.Fatalf("scan lengths diverged at (%d,%d): %d vs %d", j, from, mR, mC)
-				}
-				for k := 0; k < mR; k++ {
-					if bufR[k] != bufC[k] {
-						t.Fatalf("scan values diverged at (%d,%d)[%d]", j, from, k)
-					}
-				}
-			}
-		}
-	})
 }

@@ -28,7 +28,7 @@ type Relation interface {
 
 // ColumnRanger is implemented by relations that can report the observed
 // [min, max] value range of a column without scanning it — SegmentedTable
-// folds its zone maps; views forward to their source. ok is false when no
+// keeps running bounds as rows append; views forward to their source. ok is false when no
 // bound is known (empty relation, source without statistics). The returned
 // range may be wider than the rows actually visible through the relation
 // (a SelectView forwards its source's bounds), so consumers may use it only
@@ -127,8 +127,6 @@ func (v *SelectView) ScanColumn(col int, from int, dst []Value) int {
 func (v *SelectView) GatherColumn(dst []Value, col int, rows []int) {
 	switch s := v.src.(type) {
 	case *Table:
-		s.GatherColumnVia(dst, col, v.idx, rows)
-	case *ColumnarTable:
 		s.GatherColumnVia(dst, col, v.idx, rows)
 	case *SegmentedTable:
 		s.GatherColumnVia(dst, col, v.idx, rows)

@@ -35,9 +35,9 @@ type SegmentOptions struct {
 	FS fault.FS
 }
 
-// segment is one immutable columnar chunk of a SegmentedTable: the same
-// width-narrowed colData vectors as a ColumnarTable, capped at the table's
-// segment size. Sealed segments are never written again, which is what makes
+// segment is one immutable columnar chunk of a SegmentedTable: one
+// width-narrowed colData vector per column, capped at the table's segment
+// size. Sealed segments are never written again, which is what makes
 // eviction and concurrent reads safe without per-cell locks.
 type segment struct {
 	n    int
@@ -69,10 +69,11 @@ type segEntry struct {
 	lastUse atomic.Int64
 }
 
-// SegmentedTable is the third physical relation: a ColumnarTable partitioned
-// into fixed-size immutable columnar segments. It serves the same
-// Relation/ColumnScanner/ColumnGatherer surface with bit-identical cell
-// values, and adds three capabilities the monolithic slab cannot offer:
+// SegmentedTable is the columnar physical relation next to the row-major
+// *Table: one width-narrowed vector per column, partitioned into fixed-size
+// immutable segments. It serves the same Relation/ColumnScanner/
+// ColumnGatherer surface with bit-identical cell values, and its partition
+// adds three capabilities:
 //
 //   - per-segment ZoneMaps, so selective scans and split searches can prove
 //     segments (or whole columns) irrelevant and skip them;
@@ -82,6 +83,10 @@ type segEntry struct {
 //     live in a page-aligned heap file and an LRU-pinned cache keeps at most
 //     CacheBytes of them resident, so fact tables larger than RAM can train
 //     and batch-score (slower, but bit-identically).
+//
+// A segment size larger than the row count keeps every row in the open tail:
+// one contiguous slab per column, nothing sealed, no zone maps and no pager.
+// That is the layout of core's default columnar engine.
 //
 // Construct empty with NewSegmentedTable and fill with AppendRow(s) — rows
 // seal into segments as they fill — or evaluate any relation into one with
@@ -116,6 +121,17 @@ type SegmentedTable struct {
 // NewSegmentedTable creates an empty segmented table. An error is returned
 // only when the spill heap file cannot be created.
 func NewSegmentedTable(name string, schema *Schema, opts SegmentOptions) (*SegmentedTable, error) {
+	t, err := newSegmentedTable(name, schema, opts)
+	if err != nil {
+		return nil, err
+	}
+	t.tail = t.newSegment(t.segSize)
+	return t, nil
+}
+
+// newSegmentedTable is NewSegmentedTable without the open tail, which the
+// caller allocates at the capacity it needs.
+func newSegmentedTable(name string, schema *Schema, opts SegmentOptions) (*SegmentedTable, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
 	}
@@ -146,15 +162,14 @@ func NewSegmentedTable(name string, schema *Schema, opts SegmentOptions) (*Segme
 		}
 		t.pager = p
 	}
-	t.tail = t.newSegment()
 	return t, nil
 }
 
-// newSegment allocates an empty open segment with full-segment capacity.
-func (t *SegmentedTable) newSegment() *segment {
+// newSegment allocates an empty open segment with room for capHint rows.
+func (t *SegmentedTable) newSegment(capHint int) *segment {
 	s := &segment{cols: make([]colData, t.schema.Width())}
 	for j := range s.cols {
-		s.cols[j] = newColData(t.schema.Cols[j].Domain.Size, t.segSize)
+		s.cols[j] = newColData(t.schema.Cols[j].Domain.Size, capHint)
 	}
 	return s
 }
@@ -248,8 +263,9 @@ func (t *SegmentedTable) ResidentBytes() int64 {
 }
 
 // seal freezes the full tail: zone maps are computed, the segment is
-// (optionally) written to the heap file, and a fresh tail is opened.
-func (t *SegmentedTable) seal() error {
+// (optionally) written to the heap file, and a fresh tail with room for
+// nextCap rows is opened.
+func (t *SegmentedTable) seal(nextCap int) error {
 	s := t.tail
 	e := &segEntry{
 		zmaps: make([]ZoneMap, len(s.cols)),
@@ -276,7 +292,7 @@ func (t *SegmentedTable) seal() error {
 	} else {
 		t.entries = append(t.entries, e)
 	}
-	t.tail = t.newSegment()
+	t.tail = t.newSegment(nextCap)
 	return nil
 }
 
@@ -386,8 +402,12 @@ func (t *SegmentedTable) release(si int) {
 
 // At implements Relation. With an active pager every call pins and unpins
 // one segment; batch readers should prefer ScanColumn / GatherColumn, which
-// pin once per segment run.
+// pin once per segment run. While every row sits in the open tail, At reads
+// it directly: row-at-a-time consumers (1-NN, label reads) call it per cell.
 func (t *SegmentedTable) At(row, col int) Value {
+	if len(t.entries) == 0 {
+		return t.tail.cols[col].at(row)
+	}
 	si, off := t.locate(row)
 	s := t.acquire(si)
 	v := s.cols[col].at(off)
@@ -436,7 +456,7 @@ func (t *SegmentedTable) GatherColumn(dst []Value, col int, rows []int) {
 	dst = dst[:len(rows)]
 	if len(t.entries) == 0 {
 		// Whole table still in the open tail (never evictable): the
-		// width-specialized single-slab gather, same speed as ColumnarTable.
+		// width-specialized single-slab gather.
 		t.tail.cols[col].gather(dst, rows)
 		return
 	}
@@ -524,7 +544,7 @@ func (t *SegmentedTable) AppendRow(row []Value) error {
 	t.tail.n++
 	t.n++
 	if t.tail.n == t.segSize {
-		return t.seal()
+		return t.seal(t.segSize)
 	}
 	return nil
 }
@@ -572,7 +592,7 @@ func (t *SegmentedTable) AppendRows(block []Value) error {
 		t.n += take
 		done += take
 		if t.tail.n == t.segSize {
-			if err := t.seal(); err != nil {
+			if err := t.seal(t.segSize); err != nil {
 				return err
 			}
 		}
@@ -587,17 +607,18 @@ func (t *SegmentedTable) MustAppendRows(block []Value) {
 	}
 }
 
-// MaterializeSegmented evaluates any relation into a SegmentedTable — the
-// segmented sibling of MaterializeColumnar, and the path core.NewEnvEngine
-// takes on the segmented engine to turn the factorized join into sealed,
-// skippable, spillable segments. ColumnScanner sources are drained one
-// segment chunk at a time (each chunk reads every column sequentially, then
-// seals), so ingestion's resident working set is one open segment
-// regardless of table size; other sources fall back to row-at-a-time
-// appends. Like MaterializeColumnar, source cell values outside their
-// column's domain indicate a corrupted relation and panic.
+// MaterializeSegmented evaluates any relation into a SegmentedTable; it is
+// the path core.NewEnvEngine takes on both columnar engines. The source is
+// drained one segment chunk at a time (each chunk reads every column
+// sequentially, then seals), so ingestion's resident working set is one open
+// segment regardless of table size. Every tail is allocated once, with room
+// for min(segment size, rows still to drain), so a segment size larger than
+// the row count costs exactly one slab per column. Sources that do not
+// implement ColumnScanner are read through At. Source cell values outside
+// their column's domain indicate a corrupted relation and panic, mirroring
+// the invariant AppendRow enforces on the write path.
 func MaterializeSegmented(r Relation, name string, opts SegmentOptions) (*SegmentedTable, error) {
-	out, err := NewSegmentedTable(name, r.Schema(), opts)
+	out, err := newSegmentedTable(name, r.Schema(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -612,20 +633,13 @@ func MaterializeSegmented(r Relation, name string, opts SegmentOptions) (*Segmen
 	schema := r.Schema()
 	w := schema.Width()
 	n := r.NumRows()
+	out.tail = out.newSegment(min(out.segSize, n))
 	if w == 0 || n == 0 {
 		return out, nil
 	}
-	cs, batched := r.(ColumnScanner)
-	if !batched {
-		row := make([]Value, w)
-		for i := 0; i < n; i++ {
-			r.CopyRow(row, i)
-			if err := out.AppendRow(row); err != nil {
-				out.Close() // remove the partly-written heap file
-				return nil, err
-			}
-		}
-		return out, nil
+	cs, ok := r.(ColumnScanner)
+	if !ok {
+		cs = atScanner{r}
 	}
 	buf := make([]Value, min(n, out.segSize))
 	for base := 0; base < n; base += out.segSize {
@@ -656,11 +670,23 @@ func MaterializeSegmented(r Relation, name string, opts SegmentOptions) (*Segmen
 		out.tail.n = m
 		out.n += m
 		if m == out.segSize {
-			if err := out.seal(); err != nil {
+			if err := out.seal(min(out.segSize, n-out.n)); err != nil {
 				out.Close() // remove the partly-written heap file
 				return nil, err
 			}
 		}
 	}
 	return out, nil
+}
+
+// atScanner adapts a relation without a batch interface to ColumnScanner
+// through At.
+type atScanner struct{ r Relation }
+
+func (a atScanner) ScanColumn(col int, from int, dst []Value) int {
+	m := scanLen(a.r.NumRows(), from, len(dst))
+	for k := range dst[:m] {
+		dst[k] = a.r.At(from+k, col)
+	}
+	return m
 }

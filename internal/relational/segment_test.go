@@ -3,7 +3,6 @@ package relational
 import (
 	"bytes"
 	"os"
-	"strings"
 	"sync"
 	"testing"
 
@@ -66,7 +65,8 @@ func TestSegmentedSpilledMatchesTable(t *testing.T) {
 }
 
 // TestSegmentedAppendRowsMatchesAppendRow checks the bulk path seals the
-// same segments as row-at-a-time appends, including the validation contract.
+// same segments as row-at-a-time appends (TestAppendRowsRejectsBadInput pins
+// its validation contract).
 func TestSegmentedAppendRowsMatchesAppendRow(t *testing.T) {
 	const segSize = 32
 	tab := randomWideTable(t, 3*segSize+5, 3)
@@ -85,31 +85,6 @@ func TestSegmentedAppendRowsMatchesAppendRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameRelation(t, tab, st)
-
-	schema := MustSchema(
-		Column{Name: "Y", Kind: KindTarget, Domain: NewDomain("Y", 2)},
-		Column{Name: "x", Kind: KindFeature, Domain: NewDomain("x", 4)},
-	)
-	for _, tt := range []struct {
-		name  string
-		block []Value
-		want  string
-	}{
-		{"ragged", []Value{0, 1, 0}, "multiple of width"},
-		{"negative", []Value{0, -1}, "outside domain"},
-		{"toobig", []Value{0, 1, 1, 4}, "outside domain"},
-	} {
-		bad, err := NewSegmentedTable("t", schema, SegmentOptions{SegmentSize: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := bad.AppendRows(tt.block); err == nil || !strings.Contains(err.Error(), tt.want) {
-			t.Fatalf("%s: AppendRows err = %v, want %q", tt.name, err, tt.want)
-		}
-		if bad.NumRows() != 0 {
-			t.Fatalf("%s: failed append must not add rows", tt.name)
-		}
-	}
 }
 
 // TestSegmentedZoneMaps pins the zone-map semantics: exact min/max per
@@ -192,8 +167,10 @@ func TestSelectEqZoneSkipMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestMaterializeSegmented checks the chunked scanner drain, the CopyRow
-// fallback, and the empty edge against Materialize.
+// TestMaterializeSegmented checks the chunked scanner drain and the At
+// fallback against Materialize, both for many segments and for one segment
+// larger than the relation (the default engine's layout), plus the empty
+// edge on both paths.
 func TestMaterializeSegmented(t *testing.T) {
 	ss := testStar(t, 200, 13, 7, 21)
 	jv, err := NewJoinView(ss)
@@ -201,25 +178,69 @@ func TestMaterializeSegmented(t *testing.T) {
 		t.Fatal(err)
 	}
 	rowT := Materialize(jv, "rows")
-	segT, err := MaterializeSegmented(jv, "segs", SegmentOptions{SegmentSize: 37})
-	if err != nil {
-		t.Fatal(err)
+	for _, segSize := range []int{37, 256} {
+		for name, src := range map[string]Relation{"scanner": jv, "fallback": noScan{jv}} {
+			segT, err := MaterializeSegmented(src, "segs", SegmentOptions{SegmentSize: segSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRelation(t, rowT, segT)
+			if want := (200 + segSize - 1) / segSize; segT.NumSegments() != want {
+				t.Fatalf("%s segsize %d: %d segments, want %d", name, segSize, segT.NumSegments(), want)
+			}
+		}
 	}
-	requireSameRelation(t, rowT, segT)
-
-	seg2, err := MaterializeSegmented(noScan{jv}, "segs2", SegmentOptions{SegmentSize: 37})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameRelation(t, rowT, seg2)
 
 	schema := MustSchema(Column{Name: "x", Kind: KindFeature, Domain: NewDomain("x", 4)})
-	empty, err := MaterializeSegmented(NewTable("empty", schema, 0), "e", SegmentOptions{})
-	if err != nil {
-		t.Fatal(err)
+	emptyTab := NewTable("empty", schema, 0)
+	for name, src := range map[string]Relation{"scanner": emptyTab, "fallback": noScan{emptyTab}} {
+		empty, err := MaterializeSegmented(src, "e", SegmentOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if empty.NumRows() != 0 || empty.NumSegments() != 0 {
+			t.Fatalf("%s: empty materialize: %d rows, %d segments", name, empty.NumRows(), empty.NumSegments())
+		}
 	}
-	if empty.NumRows() != 0 || empty.NumSegments() != 0 {
-		t.Fatalf("empty materialize: %d rows, %d segments", empty.NumRows(), empty.NumSegments())
+}
+
+// TestMaterializedTailCapacity pins the allocation rule of
+// MaterializeSegmented: every tail is allocated once, with room for exactly
+// the rows still to drain when that is less than a segment. A segment size
+// far above the row count therefore costs one row-count-sized slab per
+// column, and the tail opened after the last seal is empty.
+func TestMaterializedTailCapacity(t *testing.T) {
+	tab := randomWideTable(t, 150, 5)
+	for _, tt := range []struct{ segSize, tailRows int }{
+		{1 << 20, 150}, // one segment, far larger than the table
+		{256, 150},     // the default engine's power-of-two size
+		{64, 22},       // two sealed segments, then a short tail
+		{50, 0},        // exact fill: the last seal opens an empty tail
+	} {
+		st, err := MaterializeSegmented(tab, "cap", SegmentOptions{SegmentSize: tt.segSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.tail.n != tt.tailRows {
+			t.Fatalf("segsize %d: tail holds %d rows, want %d", tt.segSize, st.tail.n, tt.tailRows)
+		}
+		for j := range st.tail.cols {
+			if c := colCap(&st.tail.cols[j]); c != tt.tailRows {
+				t.Fatalf("segsize %d column %d: tail capacity %d, want %d", tt.segSize, j, c, tt.tailRows)
+			}
+		}
+	}
+}
+
+// colCap returns the capacity of a column's backing slice.
+func colCap(c *colData) int {
+	switch {
+	case c.u8 != nil:
+		return cap(c.u8)
+	case c.u16 != nil:
+		return cap(c.u16)
+	default:
+		return cap(c.u32)
 	}
 }
 
@@ -390,10 +411,11 @@ func TestSegmentCodecRejectsCorruption(t *testing.T) {
 }
 
 // FuzzSegmentedEquivalence feeds arbitrary row bytes and an arbitrary
-// segment size into the segmented engine and requires every accepted row
-// set to read back identically to the monolithic ColumnarTable — the seeds
-// pin the boundary cases (empty, single row, segsize±1, exact fill,
-// multi-segment).
+// segment size into the segmented engine and requires it to accept and
+// reject the same rows as the row-major Table, and every accepted row set to
+// read back identically — the seeds pin the boundary cases (empty, single
+// row, segsize±1, exact fill, multi-segment, and one segment larger than
+// the table with a rejected row inside).
 func FuzzSegmentedEquivalence(f *testing.F) {
 	schema := MustSchema(
 		Column{Name: "Y", Kind: KindTarget, Domain: NewDomain("Y", 2)},
@@ -417,9 +439,10 @@ func FuzzSegmentedEquivalence(f *testing.F) {
 	f.Add(uint8(2), rowsOf(valid, valid, valid, valid, valid, valid)) // multi-segment
 	f.Add(uint8(1), rowsOf(valid, valid, valid))                      // row-per-segment
 	f.Add(uint8(0), rowsOf(valid, valid))                             // default size
+	f.Add(uint8(8), rowsOf(valid, []byte{0, 1, 9}, valid))            // one open segment, rejected row
 	f.Fuzz(func(t *testing.T, segSize uint8, raw []byte) {
 		n := len(raw) / w
-		ct := NewColumnarTable("ct", schema, n)
+		rt := NewTable("rt", schema, n)
 		st, err := NewSegmentedTable("st", schema, SegmentOptions{SegmentSize: int(segSize)})
 		if err != nil {
 			t.Fatal(err)
@@ -429,33 +452,33 @@ func FuzzSegmentedEquivalence(f *testing.F) {
 			for j := 0; j < w; j++ {
 				row[j] = Value(raw[i*w+j])
 			}
-			errC := ct.AppendRow(row)
+			errR := rt.AppendRow(row)
 			errS := st.AppendRow(row)
-			if (errC == nil) != (errS == nil) {
-				t.Fatalf("engines disagree on row %v: columnar err %v, segmented err %v", row, errC, errS)
+			if (errR == nil) != (errS == nil) {
+				t.Fatalf("engines disagree on row %v: row-major err %v, segmented err %v", row, errR, errS)
 			}
 		}
-		if ct.NumRows() != st.NumRows() {
-			t.Fatalf("row counts diverged: %d vs %d", ct.NumRows(), st.NumRows())
+		if rt.NumRows() != st.NumRows() {
+			t.Fatalf("row counts diverged: %d vs %d", rt.NumRows(), st.NumRows())
 		}
-		for i := 0; i < ct.NumRows(); i++ {
+		for i := 0; i < rt.NumRows(); i++ {
 			for j := 0; j < w; j++ {
-				if ct.At(i, j) != st.At(i, j) {
+				if rt.At(i, j) != st.At(i, j) {
 					t.Fatalf("At(%d,%d) diverged", i, j)
 				}
 			}
 		}
-		bufC := make([]Value, 3)
+		bufR := make([]Value, 3)
 		bufS := make([]Value, 3)
 		for j := 0; j < w; j++ {
-			for from := 0; from <= ct.NumRows(); from += 2 {
-				mC := ct.ScanColumn(j, from, bufC)
+			for from := 0; from <= rt.NumRows(); from += 2 {
+				mR := rt.ScanColumn(j, from, bufR)
 				mS := st.ScanColumn(j, from, bufS)
-				if mC != mS {
-					t.Fatalf("scan lengths diverged at (%d,%d): %d vs %d", j, from, mC, mS)
+				if mR != mS {
+					t.Fatalf("scan lengths diverged at (%d,%d): %d vs %d", j, from, mR, mS)
 				}
-				for k := 0; k < mC; k++ {
-					if bufC[k] != bufS[k] {
+				for k := 0; k < mR; k++ {
+					if bufR[k] != bufS[k] {
 						t.Fatalf("scan values diverged at (%d,%d)[%d]", j, from, k)
 					}
 				}

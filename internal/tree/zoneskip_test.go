@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/ml"
@@ -13,8 +14,9 @@ import (
 // bit-identical tree to the row-at-a-time oracle, which tallies every
 // feature at every node — a constant feature can never win a split, so
 // proving it constant from statistics and never gathering it changes cost,
-// not output. Only the segmented engine keeps the statistics, so the row
-// and columnar cases pin the no-skip path on the same cells.
+// not output. Both segmented layouts keep running column bounds (the
+// single-segment "col" one through its open tail), so they take the skip;
+// the row case pins the no-skip path on the same cells.
 func TestZoneSkipMatchesFullSearch(t *testing.T) {
 	r := rng.New(77)
 	keyDom := relational.NewDomain("RID", 60)
@@ -40,17 +42,21 @@ func TestZoneSkipMatchesFullSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	slab, err := relational.MaterializeSegmented(tab, "col", relational.SegmentOptions{SegmentSize: 1 << bits.Len(uint(n))})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := Config{Criterion: Gini, MinSplit: 20, CP: 1e-4}
 	for name, rel := range map[string]relational.Relation{
 		"row": tab,
-		"col": relational.MaterializeColumnar(tab, "col"),
+		"col": slab,
 		"seg": st,
 	} {
 		ds, err := ml.FromRelation(rel, []int{1, 2, 3, 4}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lo, hi, ok := ds.FeatureRange(1); name == "seg" && (!ok || lo != 7 || hi != 7) {
+		if lo, hi, ok := ds.FeatureRange(1); name != "row" && (!ok || lo != 7 || hi != 7) {
 			t.Fatalf("const1 FeatureRange = [%d,%d] ok=%v, want constant 7", lo, hi, ok)
 		}
 		skip := New(cfg)
