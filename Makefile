@@ -8,14 +8,13 @@ SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
 # The benchmarks the regression gate watches: join pipeline, the five
-# learners' columnar fits and the approximate-tier siblings, the serving
-# paths, the GEMM-vs-scalar compute-kernel pairs (SVM Gram build, batched
+# learners' columnar fits, the serving paths, the GEMM-vs-scalar compute-kernel pairs (SVM Gram build, batched
 # ANN serving), the zone-map skips, the segmented-vs-slab parity pairs, and
 # the concurrent-serving quartet (uncoalesced vs coalesced vs
 # factorized-linear vs the hardened entry — admission gate + panic recovery
 # — under 64 clients). cmd/benchgate's defaultGate must stay equal to it
 # (its TestDefaultGateMatchesMakefile checks).
-BENCH_REGEX = Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)Columnar|SVMFitErrorCache|ANNFitFusedAdam|Serve(Factorized|Joined)|SVMKernelCache(Scalar|Gemm)|ServeBatch(Scalar|Gemm)|SelectEqSeg(FullScan|ZoneSkip)|TreeSplitZoneSkip|SegParScan(Slab|Seg)|(NBFit|TreeSplit)Segmented|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$$
+BENCH_REGEX = Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)Columnar|Serve(Factorized|Joined)|SVMKernelCache(Scalar|Gemm)|ServeBatch(Scalar|Gemm)|SelectEqSeg(FullScan|ZoneSkip)|TreeSplitZoneSkip|SegParScan(Slab|Seg)|(NBFit|TreeSplit)Segmented|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$$
 # Time-based benchtime so every bench accumulates several iterations per
 # sample — the nanosecond-scale Serve* benches get millions, the ~100ms Fit
 # benches get a handful — and -count 5 gives benchgate a median that shrugs
@@ -51,9 +50,8 @@ bench-baseline:
 # as does any pair group without a winner — a >=1.5x SVM Gram-build kernel
 # win, a >=1.5x segment zone-map skip win, segmented-engine parity at
 # >=0.95x vs the monolithic slab, a >=2x coalesced-vs-scalar
-# concurrent-serving win, >=1.5x for each approximate training kernel over
-# its exact sibling — and 0 allocs/op on the coalesced and factorized-linear
-# serving paths.
+# concurrent-serving win — and 0 allocs/op on the coalesced and
+# factorized-linear serving paths.
 #
 # BENCH_JSON=<path> additionally writes the gated medians (ns/op, allocs/op)
 # as a machine-readable JSON digest — the committed BENCH_<n>.json artifacts.

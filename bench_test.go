@@ -469,10 +469,10 @@ func BenchmarkLogRegFitColumnar(b *testing.B) {
 	}
 }
 
-// benchSVMFit measures one SMO Fit — row pinning by batched column scans,
-// the morsel-parallel n×n kernel-cache build, and the optimization loop —
-// with the exact loop or the approximate error-cache loop.
-func benchSVMFit(b *testing.B, errorCache bool) {
+// BenchmarkSVMFitColumnar measures one SMO Fit — row pinning by batched
+// column scans, the morsel-parallel n×n kernel-cache build, and the
+// optimization loop.
+func BenchmarkSVMFitColumnar(b *testing.B) {
 	train := benchTrainSplit(b, core.EngineColumnar)
 	cfg := svm.Config{
 		Kernel:       svm.RBF,
@@ -480,7 +480,6 @@ func benchSVMFit(b *testing.B, errorCache bool) {
 		Gamma:        0.1,
 		SubsampleCap: envInt("REPRO_SVMCAP", 1024),
 		Seed:         7,
-		ErrorCache:   errorCache,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -495,22 +494,10 @@ func benchSVMFit(b *testing.B, errorCache bool) {
 	}
 }
 
-// BenchmarkSVMFitColumnar is the exact SMO fit.
-func BenchmarkSVMFitColumnar(b *testing.B) { benchSVMFit(b, false) }
-
-// BenchmarkSVMFitErrorCache is the approximate-tier sibling of
-// BenchmarkSVMFitColumnar: identical data, engine, and hyper-parameters,
-// with Config.ErrorCache replacing the full f(i) recomputation per KKT check
-// by incremental E-vector maintenance and max-violating-pair selection.
-// Accuracy-gated (not bit-identical); benchgate holds it to ≥1.5× over the
-// Columnar default.
-func BenchmarkSVMFitErrorCache(b *testing.B) { benchSVMFit(b, true) }
-
-// benchANNFit measures one MLP Fit (mini-batch Adam) fed from the one-pass
-// active-index matrix, with the exact sparse Adam or the approximate fused
-// one. Network sizes match the EffortFast grid so the bench weighs data
-// access against a realistic arithmetic load.
-func benchANNFit(b *testing.B, fusedAdam bool) {
+// BenchmarkANNFitColumnar measures one MLP Fit (mini-batch Adam) fed from
+// the one-pass active-index matrix. Network sizes match the EffortFast grid
+// so the bench weighs data access against a realistic arithmetic load.
+func BenchmarkANNFitColumnar(b *testing.B) {
 	train := benchTrainSplit(b, core.EngineColumnar)
 	cfg := ann.Config{
 		Hidden1:      32,
@@ -518,7 +505,6 @@ func benchANNFit(b *testing.B, fusedAdam bool) {
 		LearningRate: 1e-2,
 		Epochs:       10,
 		Seed:         7,
-		FusedAdam:    fusedAdam,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -529,16 +515,6 @@ func benchANNFit(b *testing.B, fusedAdam bool) {
 		}
 	}
 }
-
-// BenchmarkANNFitColumnar is the exact mini-batch Adam fit.
-func BenchmarkANNFitColumnar(b *testing.B) { benchANNFit(b, false) }
-
-// BenchmarkANNFitFusedAdam is the approximate-tier sibling of
-// BenchmarkANNFitColumnar: identical data, engine, and hyper-parameters,
-// with Config.FusedAdam replacing the sparse per-row Adam chains by one
-// fused mat.AdamStep pass per contiguous slab. Accuracy-gated (not
-// bit-identical); benchgate holds it to ≥1.5× over the Columnar default.
-func BenchmarkANNFitFusedAdam(b *testing.B) { benchANNFit(b, true) }
 
 // benchKernelCache measures one n×n SVM Gram-matrix build at the SVMFit
 // bench scale — the dominant arithmetic of a capped SMO fit — as the per-pair

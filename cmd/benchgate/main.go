@@ -36,12 +36,12 @@ import (
 
 // defaultGate covers the benchmarks that guard the repository's headline
 // wins: join pipeline, the five learners' fits on the columnar engine (NB,
-// tree split search, logreg, SVM, ANN) and the approximate-tier siblings,
-// the factorized serving path, the GEMM-vs-scalar kernel pairs (SVM Gram
-// build, batch serving), the zone-map skips (segment scan, tree split
-// search), and the segmented-vs-slab parity pairs. It must equal the
-// Makefile's BENCH_REGEX (TestDefaultGateMatchesMakefile).
-const defaultGate = `^Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)Columnar|SVMFitErrorCache|ANNFitFusedAdam|Serve(Factorized|Joined)|SVMKernelCache(Scalar|Gemm)|ServeBatch(Scalar|Gemm)|SelectEqSeg(FullScan|ZoneSkip)|TreeSplitZoneSkip|SegParScan(Slab|Seg)|(NBFit|TreeSplit)Segmented|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$`
+// tree split search, logreg, SVM, ANN), the factorized serving path, the
+// GEMM-vs-scalar kernel pairs (SVM Gram build, batch serving), the zone-map
+// skips (segment scan, tree split search), and the segmented-vs-slab parity
+// pairs. It must equal the Makefile's BENCH_REGEX
+// (TestDefaultGateMatchesMakefile).
+const defaultGate = `^Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegFit|SVMFit|ANNFit)Columnar|Serve(Factorized|Joined)|SVMKernelCache(Scalar|Gemm)|ServeBatch(Scalar|Gemm)|SelectEqSeg(FullScan|ZoneSkip)|TreeSplitZoneSkip|SegParScan(Slab|Seg)|(NBFit|TreeSplit)Segmented|ServeConcurrent(Scalar|Coalesced|Factorized|Hardened))$`
 
 // defaultPairs is the speedup requirement. The first group is the
 // compute-kernel bar: the blocked Gram build must beat the per-pair scalar
@@ -49,15 +49,11 @@ const defaultGate = `^Benchmark(Join(Materialized|View)|(NBFit|TreeSplit|LogRegF
 // segments must beat the full scan. The third is the segmented-engine
 // parity bar at @0.95: many-segment routing must not tax the hot training
 // loops vs a one-segment layout of the same table type (within noise on one
-// core; the SegParScan pair scales with cores). The fourth is the coalescing bar at 64 clients. The
-// last two are the approximate-training-tier bars — the error-cache SMO and
-// fused-Adam kernels must each beat their bit-exact Columnar reference;
-// each is its own group so neither win can carry the other (both paths are
-// additionally held to held-out equivalence by the accuracy gate, `hamlet
-// -verify accuracy`). The learners' single training paths and the tree's
-// zone-map skip have no slower sibling left to race; the regression check
-// bounds them against the baseline instead.
-const defaultPairs = `SVMKernelCache/Scalar/Gemm;SelectEqSeg/FullScan/ZoneSkip;SegParScan/Slab/Seg,NBFit/Columnar/Segmented,TreeSplit/Columnar/Segmented@0.95;ServeConcurrent/Scalar/Coalesced@2.0;SVMFit/Columnar/ErrorCache;ANNFit/Columnar/FusedAdam`
+// core; the SegParScan pair scales with cores). The fourth is the
+// coalescing bar at 64 clients. The learners' single training paths and the
+// tree's zone-map skip have no slower sibling left to race; the regression
+// check bounds them against the baseline instead.
+const defaultPairs = `SVMKernelCache/Scalar/Gemm;SelectEqSeg/FullScan/ZoneSkip;SegParScan/Slab/Seg,NBFit/Columnar/Segmented,TreeSplit/Columnar/Segmented@0.95;ServeConcurrent/Scalar/Coalesced@2.0`
 
 // defaultZeroAlloc names the benchmarks whose steady state must allocate
 // nothing: the factorized-linear serving path end to end, the coalesced

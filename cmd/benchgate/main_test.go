@@ -20,14 +20,9 @@ PASS
 
 // segPairLines satisfies every default group but the compute-kernel one,
 // which each test supplies itself: the zone skip clears 1.5x, the parity
-// pairs sit at 1.0 (enough for the group's @0.95 bar), coalescing clears 2x,
-// and the error-cache SMO / fused-Adam kernels beat their exact columnar
-// siblings at 2.5x.
+// pairs sit at 1.0 (enough for the group's @0.95 bar), and coalescing
+// clears 2x.
 const segPairLines = `
-BenchmarkSVMFitColumnar        	      10	  1000000 ns/op
-BenchmarkSVMFitErrorCache      	      10	   400000 ns/op
-BenchmarkANNFitColumnar        	      10	  1000000 ns/op
-BenchmarkANNFitFusedAdam       	      10	   400000 ns/op
 BenchmarkSelectEqSegFullScan   	      10	  2000000 ns/op
 BenchmarkSelectEqSegZoneSkip   	      10	   100000 ns/op
 BenchmarkTreeSplitZoneSkip     	      10	  1200000 ns/op

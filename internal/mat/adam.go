@@ -26,20 +26,5 @@ type AdamParams struct {
 // v must be at least as long as w. Each element reads and writes only its
 // own index, so the packed kernel is bit-identical to the scalar loop.
 func AdamUpdate(w, g, m, v []float64, p *AdamParams) {
-	adam(w, g[:len(w)], m[:len(w)], v[:len(w)], p, false)
-}
-
-// AdamStep applies one Adam step to contiguous parameter, gradient and
-// moment slabs of identical length, with 1−beta1 and 1−beta2 computed at
-// run time from the arguments. The gradient slab is cleared as it is
-// consumed, so the caller's next accumulation pass starts from zero without
-// a separate memclr over the slab. It runs the same kernel as AdamUpdate.
-func AdamStep(w, g, m, v []float64, lr, l2, beta1, beta2, eps, c1, c2 float64) {
-	p := AdamParams{
-		LR: lr, L2: l2, Eps: eps,
-		Beta1: beta1, Beta2: beta2,
-		OneMinusBeta1: 1 - beta1, OneMinusBeta2: 1 - beta2,
-		C1: c1, C2: c2,
-	}
-	adam(w, g[:len(w)], m[:len(w)], v[:len(w)], &p, true)
+	adam(w, g[:len(w)], m[:len(w)], v[:len(w)], p)
 }

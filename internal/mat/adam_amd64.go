@@ -5,8 +5,8 @@ package mat
 // m/C1 division, exact when C1 == 1 (x/1 == x).
 //
 //go:noescape
-func adamSSE2(w, g, m, v []float64, p *AdamParams, skipC1, clearG bool)
+func adamSSE2(w, g, m, v []float64, p *AdamParams, skipC1 bool)
 
-func adam(w, g, m, v []float64, p *AdamParams, clearG bool) {
-	adamSSE2(w, g, m, v, p, p.C1 == 1, clearG)
+func adam(w, g, m, v []float64, p *AdamParams) {
+	adamSSE2(w, g, m, v, p, p.C1 == 1)
 }

@@ -1,14 +1,14 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// func adamSSE2(w, g, m, v []float64, p *AdamParams, skipC1, clearG bool)
+// func adamSSE2(w, g, m, v []float64, p *AdamParams, skipC1 bool)
 //
 // Two lanes per iteration, each running the IEEE-754 operations of the
 // scalar loop (adam_other.go) in the same order; SSE2 has no fused
 // multiply-add, so every product rounds as the scalar statement's does. An
 // odd last element runs the same sequence on one lane. Loads and stores are
 // unaligned: Go only guarantees 8-byte alignment for []float64.
-TEXT ·adamSSE2(SB), NOSPLIT, $0-106
+TEXT ·adamSSE2(SB), NOSPLIT, $0-105
 	MOVQ w_base+0(FP), DI
 	MOVQ w_len+8(FP), CX
 	MOVQ g_base+24(FP), SI
@@ -16,7 +16,6 @@ TEXT ·adamSSE2(SB), NOSPLIT, $0-106
 	MOVQ v_base+72(FP), BX
 	MOVQ p+96(FP), R8
 	MOVBLZX skipC1+104(FP), R9
-	MOVBLZX clearG+105(FP), R10
 
 	// Broadcast every coefficient into both lanes of its own register.
 	MOVSD AdamParams_L2(R8), X6
@@ -51,12 +50,7 @@ loop:
 	MOVAPD X0, X2
 	MULPD  X6, X2
 	ADDPD  X2, X1
-	TESTQ  R10, R10
-	JZ     moments
-	MOVQ   $0, (SI)(AX*8)
-	MOVQ   $0, 8(SI)(AX*8)
 
-moments:
 	// mi = beta1*m + omb1*gi
 	MOVUPD (DX)(AX*8), X2
 	MULPD  X7, X2
@@ -100,11 +94,6 @@ tail:
 	MOVAPD X0, X2
 	MULSD  X6, X2
 	ADDSD  X2, X1
-	TESTQ  R10, R10
-	JZ     tailmoments
-	MOVQ   $0, (SI)(AX*8)
-
-tailmoments:
 	MOVSD (DX)(AX*8), X2
 	MULSD  X7, X2
 	MOVAPD X1, X3

@@ -17,7 +17,7 @@
 // every kernel bit-identical to its naive triple-loop reference across
 // shapes and strides.
 //
-// The Adam kernel (AdamUpdate, AdamStep) is element-wise: each element reads
+// The Adam kernel (AdamUpdate) is element-wise: each element reads
 // and writes only its own index, so the amd64 SSE2 loop may run two elements
 // per instruction — each lane performs the scalar loop's IEEE-754 operations
 // in the same order, and SSE2 has no fused multiply-add, so every product

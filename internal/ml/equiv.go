@@ -1,47 +1,23 @@
 package ml
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/relational"
 )
 
-// This file is the accuracy-level verification tier's measurement core.
-//
-// The repo's first tier of equivalence is bit-identity: an optimized access
-// path must reproduce the reference model's parameters exactly (each
-// learner's tests pin its one training path to a test-only oracle of the
-// historical row-at-a-time algorithm). Some optimizations cannot clear that
-// bar by construction — they change the optimization trajectory, not just
-// the data movement — so the second tier asks the question that actually
-// matters for the paper's claims: does the approximate path learn a model
-// of the same held-out quality? CompareClassifiers measures that divergence
-// and Tolerance bounds it; core.VerifyAccuracy runs the measurement across
-// the dataset × engine matrix for every registered approximate kernel.
+// This file measures how far two fitted classifiers diverge on a held-out
+// split. Every training path in the repository is held to bit-identity with
+// a test-only oracle; CompareClassifiers answers the weaker question an
+// accuracy gate asks — do two models, trained differently, reach the same
+// held-out quality? — through accuracy, prediction-disagreement and
+// log-loss deltas.
 
 // Prober is an optional Classifier extension exposing the positive-class
 // probability; when both sides of a comparison implement it, the harness
 // also reports a held-out log-loss delta.
 type Prober interface {
 	Probability(row []relational.Value) float64
-}
-
-// Tolerance bounds the acceptable held-out divergence between a reference
-// classifier and an approximate sibling. Zero-valued fields are not
-// checked.
-type Tolerance struct {
-	// AccDelta caps |refAcc − approxAcc| on the holdout split.
-	AccDelta float64
-	// Disagreement caps the fraction of holdout examples the two fitted
-	// models classify differently. Accuracy deltas can cancel (the approx
-	// model trading wins for losses nets to zero); disagreement cannot, so
-	// it catches a model that is "equally accurate" by being differently
-	// wrong everywhere.
-	Disagreement float64
-	// LossDelta caps |refLoss − approxLoss| (mean log-loss) when both
-	// classifiers expose probabilities; ignored otherwise.
-	LossDelta float64
 }
 
 // EquivDelta is one measured reference/approximate divergence.
@@ -66,23 +42,6 @@ func (d EquivDelta) LossDelta() float64 {
 		return 0
 	}
 	return math.Abs(d.RefLoss - d.ApproxLoss)
-}
-
-// Check returns a descriptive error when the measured divergence exceeds
-// the tolerance, nil when it is within.
-func (t Tolerance) Check(d EquivDelta) error {
-	if t.AccDelta > 0 && d.AccDelta() > t.AccDelta {
-		return fmt.Errorf("accuracy delta %.4f exceeds tolerance %.4f (ref %.4f, approx %.4f)",
-			d.AccDelta(), t.AccDelta, d.RefAcc, d.ApproxAcc)
-	}
-	if t.Disagreement > 0 && d.Disagreement > t.Disagreement {
-		return fmt.Errorf("disagreement %.4f exceeds tolerance %.4f", d.Disagreement, t.Disagreement)
-	}
-	if t.LossDelta > 0 && d.HasLoss && d.LossDelta() > t.LossDelta {
-		return fmt.Errorf("log-loss delta %.4f exceeds tolerance %.4f (ref %.4f, approx %.4f)",
-			d.LossDelta(), t.LossDelta, d.RefLoss, d.ApproxLoss)
-	}
-	return nil
 }
 
 // logLoss is the mean cross-entropy of p's probabilities against the

@@ -33,24 +33,12 @@ type Config struct {
 	SubsampleCap int
 	// Seed drives SMO's second-multiplier randomization and subsampling.
 	Seed uint64
-	// ErrorCache selects the approximate SMO loop: the prediction-error
-	// vector E[i] = f(i) − y[i] is maintained incrementally across α steps
-	// (two kernel rows plus the bias delta per successful update) and each
-	// iteration optimizes the maximal violating pair chosen over the cached
-	// errors (Keerthi's b_up/b_low selection), replacing the default loop's
-	// full f(i) recomputation per KKT check and randomized second choice.
-	// The optimization visits a different sequence of pairs and stops on a
-	// duality-gap criterion, so the fitted multipliers diverge from the
-	// bit-identical default; the path is gated by the accuracy-level
-	// equivalence harness (core.VerifyAccuracy), not bit-equality. Default
-	// off.
-	ErrorCache bool
 }
 
 // gramCacheCap bounds the training-set size for which Fit materializes the
-// full n×n Gram cache (n² float32 ≈ 64 MiB at the cap); beyond it both SMO
-// loops fall back to on-demand kernel evaluation. A variable so tests can
-// exercise the cacheless branches at small n.
+// full n×n Gram cache (n² float32 ≈ 64 MiB at the cap); beyond it SMO
+// falls back to on-demand kernel evaluation. A variable so tests can
+// exercise the cacheless branch at small n.
 var gramCacheCap = 4096
 
 // SVM is a kernel support vector classifier. Construct with New, then Fit.
@@ -183,10 +171,12 @@ func (s *SVM) optimize(r *rng.RNG, rows [][]relational.Value, y []float64, kcach
 	}
 
 	// ay[j] caches α_j·y_j for f's hot loop, and activeMask tracks the
-	// nonzero-α set as a bitmap (bit j ⟺ α_j > 0). Each ay entry is
-	// refreshed from the same two operands the historical `alpha[j] * y[j]`
-	// recomputed per term, so every product f folds carries identical bits,
-	// and the mask is exactly the historical `alpha[j] != 0` skip set.
+	// active set as a bitmap (bit j ⟺ α_j > 0). Each ay entry is refreshed
+	// from the same two operands the historical `alpha[j] * y[j]` recomputed
+	// per term, so every product f folds carries identical bits. A pair step
+	// can round α_i a few ulps below zero (ai + s·(aj − ajNew) when ajNew
+	// lands on its bound); such a multiplier is inactive, as the retained
+	// support set treats it.
 	ay := make([]float64, n)
 	activeMask := make([]uint64, (n+63)/64)
 	setActive := func(j int, on bool) {
@@ -202,7 +192,8 @@ func (s *SVM) optimize(r *rng.RNG, rows [][]relational.Value, y []float64, kcach
 	// yields ascending j, so the fold order is the historical one) against
 	// the raw float32 cache row: a sweep early in training, when almost
 	// every α is zero, costs n/64 word loads instead of n load-and-tests.
-	// Without the cache, the historical kij fold is unchanged.
+	// Without the cache, the fold runs over the same active set in the same
+	// ascending order, reading kernel values from kij.
 	f := func(i int) float64 {
 		sum := 0.0
 		if kcache != nil {
@@ -217,23 +208,12 @@ func (s *SVM) optimize(r *rng.RNG, rows [][]relational.Value, y []float64, kcach
 			}
 		} else {
 			for j := 0; j < n; j++ {
-				if alpha[j] != 0 {
+				if alpha[j] > 0 {
 					sum += alpha[j] * y[j] * kij(i, j)
 				}
 			}
 		}
 		return sum + b
-	}
-
-	if s.cfg.ErrorCache {
-		// Approximate tier: incremental-E working-set loop (errorcache.go).
-		// One smoPassSpan observation covers the whole optimization — the
-		// loop has no full-sweep passes to time individually.
-		t0 := time.Now()
-		b = smoErrorCache(n, y, alpha, C, tol, maxIter, kcache, k, rows)
-		smoPassSpan.ObserveSince(t0)
-		s.retainSupport(rows, alpha, y, b)
-		return
 	}
 
 	passes, iter := 0, 0
@@ -302,12 +282,7 @@ func (s *SVM) optimize(r *rng.RNG, rows [][]relational.Value, y []float64, kcach
 		}
 	}
 
-	s.retainSupport(rows, alpha, y, b)
-}
-
-// retainSupport keeps the rows with nonzero multipliers as the fitted
-// support set; both the exact and the error-cache loops end here.
-func (s *SVM) retainSupport(rows [][]relational.Value, alpha, y []float64, b float64) {
+	// Retain the rows with nonzero multipliers as the fitted support set.
 	s.svRows = s.svRows[:0]
 	s.svAlphaY = s.svAlphaY[:0]
 	for i := range rows {

@@ -286,6 +286,28 @@ func rowFit(t *testing.T, cfg Config, train *ml.Dataset) *SVM {
 	return s
 }
 
+// requireSameModel fails unless want and got hold bit-identical support
+// sets: the same bias, multipliers and support rows in retention order.
+func requireSameModel(t *testing.T, label string, want, got *SVM) {
+	t.Helper()
+	if want.b != got.b {
+		t.Fatalf("%s: bias diverged: %v vs %v", label, want.b, got.b)
+	}
+	if len(want.svAlphaY) != len(got.svAlphaY) {
+		t.Fatalf("%s: support set sizes diverged: %d vs %d", label, len(want.svAlphaY), len(got.svAlphaY))
+	}
+	for i := range want.svAlphaY {
+		if want.svAlphaY[i] != got.svAlphaY[i] {
+			t.Fatalf("%s: alpha[%d] diverged: %v vs %v", label, i, want.svAlphaY[i], got.svAlphaY[i])
+		}
+		for j := range want.svRows[i] {
+			if want.svRows[i][j] != got.svRows[i][j] {
+				t.Fatalf("%s: support row %d diverged", label, i)
+			}
+		}
+	}
+}
+
 func TestColumnarMatchesRowPath(t *testing.T) {
 	// The columnar path (batched column scans + the morsel-parallel
 	// match-count cache build) must produce a bit-identical model to the
@@ -316,22 +338,7 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 			if err := col.Fit(ds); err != nil {
 				t.Fatal(err)
 			}
-			if row.b != col.b {
-				t.Fatalf("%s/%v: bias diverged: %v vs %v", name, kind, row.b, col.b)
-			}
-			if len(row.svAlphaY) != len(col.svAlphaY) {
-				t.Fatalf("%s/%v: support set sizes diverged: %d vs %d", name, kind, len(row.svAlphaY), len(col.svAlphaY))
-			}
-			for i := range row.svAlphaY {
-				if row.svAlphaY[i] != col.svAlphaY[i] {
-					t.Fatalf("%s/%v: alpha[%d] diverged: %v vs %v", name, kind, i, row.svAlphaY[i], col.svAlphaY[i])
-				}
-				for j := range row.svRows[i] {
-					if row.svRows[i][j] != col.svRows[i][j] {
-						t.Fatalf("%s/%v: support row %d diverged", name, kind, i)
-					}
-				}
-			}
+			requireSameModel(t, name+"/"+kind.String(), row, col)
 			buf := make([]relational.Value, ds.NumFeatures())
 			for i := 0; i < ds.NumExamples(); i++ {
 				rowi := ds.RowInto(buf, i)
@@ -340,6 +347,47 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCachelessMatchesCached covers SMO's fallback beyond gramCacheCap,
+// where kij evaluates the kernel per pair and f folds over every nonzero α
+// in ascending j. Linear and quadratic (γ = 1) kernel values are small
+// integers, exact in the float32 Gram cache, so the cacheless fit must
+// equal the cached one bit for bit: same multipliers, support set and bias.
+func TestCachelessMatchesCached(t *testing.T) {
+	r := rng.New(41)
+	ds := &ml.Dataset{Features: feats(3, 4, 2)}
+	for i := 0; i < 240; i++ {
+		a, b, c := r.Intn(3), r.Intn(4), r.Intn(2)
+		ds.X = append(ds.X, relational.Value(a), relational.Value(b), relational.Value(c))
+		y := int8((a + b) % 2)
+		if r.Float64() < 0.1 {
+			y = 1 - y
+		}
+		ds.Y = append(ds.Y, y)
+	}
+	fit := func(cfg Config) *SVM {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Fit(ds); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, kind := range []KernelKind{Linear, Quadratic} {
+		cfg := Config{Kernel: kind, C: 10, Gamma: 1, Seed: 43}
+		cached := fit(cfg)
+		old := gramCacheCap
+		gramCacheCap = 8
+		cacheless := fit(cfg)
+		gramCacheCap = old
+		if cached.NumSupportVectors() == 0 {
+			t.Fatalf("%v: fit retained no support vectors", kind)
+		}
+		requireSameModel(t, kind.String(), cached, cacheless)
 	}
 }
 
